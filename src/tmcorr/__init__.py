@@ -3,13 +3,15 @@ exponential sums, and class-pair solution counts.
 
 Counting and correlation sums run over 1 <= n <= X; the exponential sum
 runs over the first X indices 0 <= n < X.  Fast paths are exact integer
-(or exact-phase) recursions and agree with the direct loops to the last
-digit; the direct loops double as test oracles.
+(or exact-phase) halving loops over the bits of X, with no recursion and no
+size limit on X, and agree with the direct loops to the last digit; the
+direct loops double as test oracles.
 """
 
 from .digitseq import eps, class_of, eps_partial_sum, gelfond_count
 from .correlation import (CorrelationSystem, NAIVE_LIMIT, build_transfer,
-                          corr_fast, corr_naive, dilation_naive, dilation_sum)
+                          corr_fast, corr_naive, dilation_naive, dilation_sum,
+                          shift_vectors)
 from .spectral import (MonicIntPolynomial, RootFindingError, SpectralReport,
                        char_poly, cluster_roots, int_poly_gcd,
                        jordan_block_check, power_growth, roots,
@@ -17,7 +19,7 @@ from .spectral import (MonicIntPolynomial, RootFindingError, SpectralReport,
 from .expsum import (RationalPhase, ScanResult, expsum_fast, expsum_naive,
                      product_formula, scan_alpha)
 from .counting import (CountTable, count_adjacent, count_classes_fast,
-                       count_classes_naive)
+                       count_classes_naive, count_tables)
 from .report import (ExponentFit, SumLadder, emit, fit_exponent,
                      parse_count_table_csv, parse_ladder_csv)
 
@@ -28,10 +30,10 @@ __all__ = [
     "NAIVE_LIMIT", "RationalPhase", "RootFindingError", "ScanResult",
     "SpectralReport", "SumLadder", "build_transfer", "char_poly", "class_of",
     "cluster_roots", "corr_fast", "corr_naive", "count_adjacent",
-    "count_classes_fast", "count_classes_naive", "dilation_naive",
-    "dilation_sum", "emit", "eps", "eps_partial_sum", "expsum_fast",
-    "expsum_naive", "fit_exponent", "gelfond_count", "int_poly_gcd",
-    "jordan_block_check", "parse_count_table_csv", "parse_ladder_csv",
-    "power_growth", "product_formula", "roots", "scan_alpha",
-    "spectral_report",
+    "count_classes_fast", "count_classes_naive", "count_tables",
+    "dilation_naive", "dilation_sum", "emit", "eps", "eps_partial_sum",
+    "expsum_fast", "expsum_naive", "fit_exponent", "gelfond_count",
+    "int_poly_gcd", "jordan_block_check", "parse_count_table_csv",
+    "parse_ladder_csv", "power_growth", "product_formula", "roots",
+    "scan_alpha", "shift_vectors", "spectral_report",
 ]

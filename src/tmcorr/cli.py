@@ -11,18 +11,25 @@ import json
 import sys
 
 from .digitseq import eps, class_of
-from .correlation import corr_naive, corr_fast, build_transfer
+from .correlation import corr_naive, build_transfer, shift_vectors
 from .spectral import DEFAULT_SEED, spectral_report
 from .expsum import RationalPhase, scan_alpha
-from .counting import count_classes_naive, count_classes_fast, count_adjacent
+from .counting import count_classes_naive, count_tables, count_adjacent
 from .report import (SumLadder, emit, fit_exponent, format_number)
 
 NAIVE_CHECK_LIMIT = 10**5
 
 
+def _parse_exponent(text: str) -> int:
+    exponent = int(text)
+    if exponent < 0:
+        raise ValueError("powers of two need a nonnegative exponent")
+    return exponent
+
+
 def _parse_point(token: str) -> int:
     if token.startswith("2^"):
-        return 2 ** int(token[2:])
+        return 2 ** _parse_exponent(token[2:])
     return int(token)
 
 
@@ -37,7 +44,7 @@ def parse_ladder(spec: str) -> list[int]:
     if ".." in body:
         lo_text, hi_text = body.split("..", 1)
         if lo_text.startswith("2^") and hi_text.startswith("2^"):
-            lo_exp, hi_exp = int(lo_text[2:]), int(hi_text[2:])
+            lo_exp, hi_exp = _parse_exponent(lo_text[2:]), _parse_exponent(hi_text[2:])
             if hi_exp < lo_exp:
                 raise ValueError("ladder upper exponent below lower")
             return [2 ** e for e in range(lo_exp, hi_exp + 1, step)]
@@ -85,10 +92,11 @@ def cmd_corr(args) -> str:
         raise ValueError("multiplier must be odd")
     ladder = parse_ladder(args.ladder)
     shifts = _parse_shifts(args.shift, q)
+    sums = shift_vectors(q, ladder)
     rows = []
     for X in ladder:
         for r in shifts:
-            value = corr_fast(q, r, X)
+            value = sums[X][r]
             row = {"X": X, "r": r, "value": value}
             if args.naive_check:
                 if X <= NAIVE_CHECK_LIMIT:
@@ -139,12 +147,13 @@ def cmd_count(args) -> str:
         raise ValueError("multiplier must be odd")
     ladder = parse_ladder(args.ladder)
     shifts = _parse_shifts(args.shift, q, extension=args.extension)
+    tables = count_tables(q, ladder) if min(shifts) < q else {}
     rows = []
     worst_by_X: dict[int, float] = {}
     for X in ladder:
         for r in shifts:
             if r < q:
-                table = count_classes_fast(q, r, X)
+                table = tables[X][r]
             else:
                 table = count_classes_naive(q, r, X, extension=True)
             for i in (0, 1):
@@ -293,7 +302,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         text = args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.out:

@@ -5,13 +5,16 @@ For odd q and shift 0 <= r < q:
     S_q(X, r) = sum_{n=1..X} eps(n) * eps(q*n + r)      (correlation)
     U_q(X, r) = sum_{n=1..X} eps(q*n + r)               (dilation)
 
-Both have direct O(X) evaluations and exact halving recursions: splitting
-n into even/odd halves the range and maps the shift r to r//2 (even part)
-or (q+r-1)//2 / (q+r)//2 (odd part), with a sign flip whenever the mapped
-argument is odd.  Carrying the exact half-sizes floor(X/2), floor((X-1)/2)
-and the n = 0 base term makes the recursion agree with the direct loop to
-the last integer.  The coefficient propagation of the recursion is the
-q x q transfer matrix built by ``build_transfer``.
+Both have direct O(X) evaluations and one exact halving engine.  Splitting
+n into even and odd halves the range and maps the shift s to s//2 (even
+part) and (q+s)//2 (odd part), with a sign flip for odd s; the correlation
+adds the two halves and the dilation subtracts the odd one.  That index
+table (``shift_rows``) is also the q x q transfer matrix of
+``build_transfer``.  The only range sizes that occur are floor(X/2^k) and
+floor(X/2^k) - 1, so the engine reads the bits of X from the top and keeps
+the vectors over all q shifts at those two sizes: O(q log X) integer
+steps, no recursion and no size limit on X.  Carrying the n = 0 term and
+the exact sizes makes it agree with the direct loop to the last integer.
 """
 
 from dataclasses import dataclass
@@ -22,13 +25,17 @@ from .digitseq import eps
 NAIVE_LIMIT = 10**7
 
 
-def _validate(q: int, r: int, X: int) -> None:
+def _validate_batch(q: int, xs) -> None:
     if q < 1 or q % 2 == 0:
         raise ValueError("multiplier must be odd")
+    if any(X < 0 for X in xs):
+        raise ValueError("X must be nonnegative")
+
+
+def _validate(q: int, r: int, X: int) -> None:
+    _validate_batch(q, (X,))
     if not 0 <= r < q:
         raise ValueError(f"shift must satisfy 0 <= r < q, got r={r} q={q}")
-    if X < 0:
-        raise ValueError("X must be nonnegative")
 
 
 def _check_naive_guard(X: int) -> None:
@@ -43,62 +50,83 @@ def corr_naive(q: int, r: int, X: int) -> int:
     return sum(eps(n) * eps(q * n + r) for n in range(1, X + 1))
 
 
-def _corr_prefixed(q: int, Y: int, s: int, memo: dict) -> int:
-    """sum_{n=0..Y} eps(n) eps(qn+s), memoized halving recursion."""
-    key = (q, Y, s)
-    val = memo.get(key)
-    if val is not None:
-        return val
-    if Y == 0:
-        val = eps(s)
-    elif s % 2 == 0:
-        val = (_corr_prefixed(q, Y // 2, s // 2, memo)
-               + _corr_prefixed(q, (Y - 1) // 2, (q + s - 1) // 2, memo))
-    else:
-        val = (-_corr_prefixed(q, Y // 2, (s - 1) // 2, memo)
-               - _corr_prefixed(q, (Y - 1) // 2, (q + s) // 2, memo))
-    memo[key] = val
-    return val
+def shift_rows(q: int) -> tuple[tuple[int, int, int], ...]:
+    """Row s = (sign, a, b) of the halving recursion for the shift alphabet 0..q-1.
 
-
-def corr_fast(q: int, r: int, X: int, memo: dict | None = None) -> int:
-    """S_q(X, r), identical to corr_naive, in O(q log X).
-
-    ``memo`` may be passed to share work across calls (e.g. sweeps over
-    consecutive X); it holds only exact values keyed by (q, Y, s), so
-    sharing never changes results.
+    The terms n = 2k of shift s are sign times the terms k of shift a = s//2;
+    the terms n = 2k+1 are sign times those k of shift b = (q+s)//2 for the
+    correlation, and minus that for the dilation.  sign = -1 for odd s.
     """
+    return tuple((1 - 2 * (s & 1), s >> 1, (q + s) >> 1) for s in range(q))
+
+
+def _common_prefix(u: int, v: int) -> int:
+    """Number of leading binary digits that u and v share."""
+    lu, lv = u.bit_length(), v.bit_length()
+    m = min(lu, lv)
+    return m - ((u >> (lu - m)) ^ (v >> (lv - m))).bit_length()
+
+
+def _prefixed_vectors(q: int, xs, dilation: bool) -> dict[int, list[int]]:
+    """X -> [sum_{n=0..X} w_s(n) for s in 0..q-1] for every X in xs.
+
+    w_s(n) = eps(n) eps(qn+s), or eps(qn+s) for the dilation.  With F(Y)
+    the vector at size Y, the state at a bit prefix h of X is the pair
+    (F(h), F(h-1)), starting from F(0) = eps(s) and F(-1) = 0; appending
+    bit c gives the state at 2h+c, the halves of 2h+c and 2h+c-1 being h
+    or h-1.  X values are walked in the order of their bit strings, so a
+    prefix shared by several X (a halving chain such as a ladder 2^a..2^b,
+    or a run of consecutive X) is walked once; only the states at depths
+    where a later X branches off are kept.
+    """
+    pairs = [(a, b) for _, a, b in shift_rows(q)]   # the sign is -1 at odd s
+    paths = sorted((bin(X)[2:] if X else "", X) for X in set(xs))
+    starts = [0] + [_common_prefix(u, v) for (_, u), (_, v) in zip(paths, paths[1:])]
+    branch = set(starts)
+    stack = [(0, [eps(s) for s in range(q)], [0] * q)]   # (depth, F(h), F(h-1))
+    out = {}
+    for (bits, X), depth in zip(paths, starts):
+        while stack[-1][0] > depth:
+            stack.pop()
+        _, V, W = stack[-1]
+        for i in range(depth, len(bits)):
+            M = V if bits[i] == "1" else W
+            if dilation:
+                V, W = [V[a] - M[b] for a, b in pairs], [M[a] - W[b] for a, b in pairs]
+            else:
+                V, W = [V[a] + M[b] for a, b in pairs], [M[a] + W[b] for a, b in pairs]
+            V[1::2] = [-v for v in V[1::2]]
+            W[1::2] = [-v for v in W[1::2]]
+            if i + 1 in branch:
+                stack.append((i + 1, V, W))
+        out[X] = V
+    return out
+
+
+def shift_vectors(q: int, xs, dilation: bool = False) -> dict[int, list[int]]:
+    """X -> [S_q(X, r) for r in 0..q-1] for every X in xs (U_q if dilation).
+
+    One engine pass serves the whole set: every shift at once, and every
+    bit prefix that several X share (a ladder of powers of two, a range of
+    consecutive X) is evaluated once.
+    """
+    xs = list(xs)
+    _validate_batch(q, xs)
+    full = _prefixed_vectors(q, xs, dilation)
+    base = [eps(r) for r in range(q)]   # the n = 0 terms
+    return {X: [v - e for v, e in zip(full[X], base)] for X in full}
+
+
+def corr_fast(q: int, r: int, X: int) -> int:
+    """S_q(X, r), identical to corr_naive, in O(q log X)."""
     _validate(q, r, X)
-    if memo is None:
-        memo = {}
-    return _corr_prefixed(q, X, r, memo) - eps(r)
+    return _prefixed_vectors(q, (X,), False)[X][r] - eps(r)
 
 
-def _dilation_prefixed(q: int, Y: int, s: int, memo: dict) -> int:
-    """sum_{n=0..Y} eps(qn+s); same index maps as the correlation, signs
-    from the single factor only."""
-    key = (q, Y, s)
-    val = memo.get(key)
-    if val is not None:
-        return val
-    if Y == 0:
-        val = eps(s)
-    elif s % 2 == 0:
-        val = (_dilation_prefixed(q, Y // 2, s // 2, memo)
-               - _dilation_prefixed(q, (Y - 1) // 2, (q + s - 1) // 2, memo))
-    else:
-        val = (-_dilation_prefixed(q, Y // 2, (s - 1) // 2, memo)
-               + _dilation_prefixed(q, (Y - 1) // 2, (q + s) // 2, memo))
-    memo[key] = val
-    return val
-
-
-def dilation_sum(q: int, r: int, X: int, memo: dict | None = None) -> int:
-    """U_q(X, r) = sum_{n=1..X} eps(qn+r), memoized recursion; O(q log X)."""
+def dilation_sum(q: int, r: int, X: int) -> int:
+    """U_q(X, r) = sum_{n=1..X} eps(qn+r), identical to dilation_naive; O(q log X)."""
     _validate(q, r, X)
-    if memo is None:
-        memo = {}
-    return _dilation_prefixed(q, X, r, memo) - eps(r)
+    return _prefixed_vectors(q, (X,), True)[X][r] - eps(r)
 
 
 def dilation_naive(q: int, r: int, X: int) -> int:
@@ -125,20 +153,15 @@ class CorrelationSystem:
 def build_transfer(q: int) -> CorrelationSystem:
     """Transfer matrix of the halving recursion for odd q >= 3.
 
-    Row r: +1 at column r//2 and +1 at column (q+r-1)//2 for even r,
-    -1 at columns (r-1)//2 and (q+r)//2 for odd r.
+    Row r is ``shift_rows(q)[r]``: sign at columns r//2 and (q+r)//2, i.e.
+    +1 at r//2 and (q+r-1)//2 for even r, -1 at (r-1)//2 and (q+r)//2 for
+    odd r.
     """
     if q < 3 or q % 2 == 0:
         raise ValueError("multiplier must be odd and >= 3")
     rows = []
-    for r in range(q):
+    for r, (sign, *cols) in enumerate(shift_rows(q)):
         row = [0] * q
-        if r % 2 == 0:
-            cols = (r // 2, (q + r - 1) // 2)
-            sign = 1
-        else:
-            cols = ((r - 1) // 2, (q + r) // 2)
-            sign = -1
         for c in cols:
             if not 0 <= c < q:
                 raise AssertionError(f"shift alphabet not closed: q={q} r={r} -> {c}")

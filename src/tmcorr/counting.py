@@ -8,12 +8,14 @@ four-term identity
 
 with P the plain sign partial sum, U the dilation sum, and S the
 correlation sum, so fast-vs-naive equality is an exact integer test.
+``count_tables`` builds the tables of every shift over a set of X from one
+pass of the correlation module's halving engine per sum.
 """
 
 from dataclasses import dataclass
 
 from .digitseq import class_of, eps_partial_sum
-from .correlation import NAIVE_LIMIT, corr_fast, dilation_sum
+from .correlation import NAIVE_LIMIT, corr_fast, dilation_sum, shift_vectors
 
 
 @dataclass(frozen=True)
@@ -31,7 +33,7 @@ class CountTable:
     deviations4: tuple[tuple[int, int], tuple[int, int]]
 
     def __post_init__(self):
-        total = sum(v for row in self.cells for v in row)
+        total = sum(map(sum, self.cells))
         if total != self.X:
             raise ValueError(f"cells sum to {total}, expected X={self.X}")
 
@@ -82,27 +84,38 @@ def count_classes_naive(q: int, r: int, X: int, extension: bool = False) -> Coun
     return _table(q, r, X, cells)
 
 
-def count_classes_fast(q: int, r: int, X: int,
-                       corr_memo: dict | None = None,
-                       dil_memo: dict | None = None) -> CountTable:
-    """Exact table via the four-term identity; O(q log X).
+def _four_term_table(q: int, r: int, X: int, P: int, U: int, S: int) -> CountTable:
+    """The table from 4 * cells[i][k] = X + (-1)^i P + (-1)^k U + (-1)^(i+k) S."""
+    f00, f01 = X + P + U + S, X + P - U - S
+    f10, f11 = X - P + U - S, X - P - U + S
+    assert not (f00 % 4 or f01 % 4 or f10 % 4 or f11 % 4), \
+        "four-term identity must be divisible by 4"
+    return CountTable(q=q, r=r, X=X,
+                      cells=((f00 // 4, f01 // 4), (f10 // 4, f11 // 4)),
+                      deviations4=((f00 - X, f01 - X), (f10 - X, f11 - X)))
 
-    The optional memo dicts are passed through to the correlation and
-    dilation recursions for cross-call sharing in sweeps.
-    """
+
+def count_classes_fast(q: int, r: int, X: int) -> CountTable:
+    """Exact table via the four-term identity; O(q log X)."""
     _validate(q, r, X, extension=False)
-    P = eps_partial_sum(X)
-    U = dilation_sum(q, r, X, memo=dil_memo)
-    S = corr_fast(q, r, X, memo=corr_memo)
-    cells = [[0, 0], [0, 0]]
-    for i in (0, 1):
-        si = -1 if i else 1
-        for k in (0, 1):
-            sk = -1 if k else 1
-            four_cells = X + si * P + sk * U + si * sk * S
-            assert four_cells % 4 == 0, "four-term identity must be divisible by 4"
-            cells[i][k] = four_cells // 4
-    return _table(q, r, X, cells)
+    return _four_term_table(q, r, X, eps_partial_sum(X),
+                            dilation_sum(q, r, X), corr_fast(q, r, X))
+
+
+def count_tables(q: int, xs) -> dict[int, list[CountTable]]:
+    """X -> [count_classes_fast(q, r, X) for r in 0..q-1] for every X in xs.
+
+    One engine pass each for the correlation and the dilation sums covers
+    all shifts and all X (see ``correlation.shift_vectors``).
+    """
+    xs = list(xs)
+    S = shift_vectors(q, xs)
+    U = shift_vectors(q, xs, dilation=True)
+    tables = {}
+    for X in S:
+        P = eps_partial_sum(X)
+        tables[X] = [_four_term_table(q, r, X, P, U[X][r], S[X][r]) for r in range(q)]
+    return tables
 
 
 def count_adjacent(X: int) -> tuple[tuple[int, int], tuple[int, int]]:

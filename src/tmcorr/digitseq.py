@@ -5,8 +5,6 @@ expansion of n, splits the naturals into class 0 (even digit sum) and
 class 1 (odd digit sum).  Everything here is exact integer arithmetic.
 """
 
-from functools import cache
-
 
 def eps(n: int) -> int:
     """Sign (-1)**popcount(n) for n >= 0; eps(0) = +1."""
@@ -34,11 +32,24 @@ def eps_partial_sum(X: int) -> int:
     return total_from_zero - 1
 
 
+def _doubled(v: list[int], m: int) -> list[int]:
+    """out[2r mod m] = sum of v[r]: residue counts after appending a 0 bit."""
+    h = (m + 1) // 2
+    out = [0] * m
+    if m % 2:
+        out[0::2], out[1::2] = v[:h], v[h:]
+    else:
+        out[0::2] = [a + b for a, b in zip(v[:h], v[h:])]
+    return out
+
+
 def gelfond_count(X: int, l: int, m: int, j: int) -> int:
     """Count n with 1 <= n <= X, n = l (mod m), and parity class j.
 
-    Most-significant-bit-first dynamic program over (position, tight flag,
-    residue mod m, digit-sum parity); exact, O(m log X) states.  l is
+    Most-significant-bit-first loop over the digits of X.  The prefixes
+    already below the same-length prefix of X are counted by (digit-sum
+    parity, residue mod m) in two lists; the prefix equal to X's is tracked
+    on its own.  Exact, O(m log X) integer steps, no recursion.  l is
     reduced mod m on entry.
     """
     if m < 1:
@@ -51,21 +62,20 @@ def gelfond_count(X: int, l: int, m: int, j: int) -> int:
     if X == 0:
         return 0
 
-    bits = tuple(int(b) for b in bin(X)[2:])
-    nbits = len(bits)
-
-    @cache
-    def dfs(i: int, tight: bool, r: int, p: int) -> int:
-        if i == nbits:
-            return 1 if (r == l and p == j) else 0
-        hi = bits[i] if tight else 1
-        total = 0
-        for b in range(hi + 1):
-            total += dfs(i + 1, tight and b == hi, (2 * r + b) % m, p ^ b)
-        return total
-
-    total = dfs(0, True, 0, 0)
-    # dfs counts n in [0, X]; drop the n = 0 solution when it qualifies
+    below = [[0] * m, [0] * m]     # below[parity][residue]
+    tight_r, tight_p = 0, 0
+    for bit in bin(X)[2:]:
+        even, odd = _doubled(below[0], m), _doubled(below[1], m)
+        # a 0 bit keeps parity and residue 2r; a 1 bit flips parity, residue 2r+1
+        below = [[a + b for a, b in zip(even, odd[-1:] + odd[:-1])],
+                 [a + b for a, b in zip(odd, even[-1:] + even[:-1])]]
+        tight_r = 2 * tight_r % m
+        if bit == "1":
+            below[tight_p][tight_r] += 1    # X's prefix with a 0 here drops below
+            tight_r = (tight_r + 1) % m
+            tight_p ^= 1
+    # counts n in [0, X]; the n = 0 solution is dropped when it qualifies
+    total = below[j][l] + (tight_r == l and tight_p == j)
     if l == 0 and j == 0:
         total -= 1
     return total

@@ -16,6 +16,7 @@ from .digitseq import eps
 NAIVE_LIMIT = 10**7
 MAX_PRODUCT_LEVELS = 50
 _TWO_PI = 2.0 * math.pi
+_BASE = (0j, 1 + 0j)   # f(0), f(1)
 
 
 @dataclass(frozen=True)
@@ -69,29 +70,34 @@ def expsum_naive(alpha: RationalPhase, X: int) -> complex:
 def expsum_fast(alpha: RationalPhase, X: int) -> complex:
     """f(X, alpha) by ceil/floor halving; O(log X) complex operations.
 
-    Recursion: f(X) at phase a equals f(ceil(X/2)) - e(a) * f(floor(X/2)),
-    both at phase 2a; bases f(0) = 0, f(1) = 1.  At most two range sizes
-    occur per doubling level, so the memo stays logarithmic.
+    Recursion: f(Y) at phase a equals f(ceil(Y/2)) - e(a) * f(floor(Y/2)),
+    both at phase 2a; bases f(0) = 0, f(1) = 1.  The sizes at depth k are
+    floor(X/2^k) and ceil(X/2^k), so a loop climbs from the depth where both
+    are <= 1 back to X, keeping the values at those two sizes only; there is
+    no recursion and no limit on X.  Raises ValueError when the result is
+    not finite: |f| can grow like X^0.79 (at alpha = 1/3), which leaves
+    double precision near X = 2^1293.
     """
     if X < 0:
         raise ValueError("X must be nonnegative")
-    memo: dict[tuple[int, int, int], complex] = {}
-
-    def f(Y: int, ph: RationalPhase) -> complex:
-        if Y == 0:
-            return 0j
-        if Y == 1:
-            return 1 + 0j
-        key = (Y, ph.p, ph.q)
-        val = memo.get(key)
-        if val is not None:
-            return val
-        doubled = ph.double()
-        val = f((Y + 1) // 2, doubled) - ph.cis() * f(Y // 2, doubled)
-        memo[key] = val
-        return val
-
-    return f(X, alpha)
+    phases = []
+    ph = alpha
+    while -(-X >> len(phases)) > 1:
+        phases.append(ph)
+        ph = ph.double()
+    # sizes floor(X/2^k) and ceil(X/2^k) from the deepest level up; their
+    # halves are the two sizes one level down, picked by parity
+    lo, hi = X >> len(phases), -(-X >> len(phases))
+    f_lo, f_hi = _BASE[lo], _BASE[hi]
+    for k in range(len(phases) - 1, -1, -1):
+        e = phases[k].cis()
+        lo, hi = X >> k, -(-X >> k)
+        f_lo, f_hi = (_BASE[lo] if lo <= 1 else (f_hi if lo & 1 else f_lo) - e * f_lo,
+                      _BASE[hi] if hi <= 1 else f_hi - e * (f_lo if hi & 1 else f_hi))
+    if not cmath.isfinite(f_hi):
+        raise ValueError(f"exponential sum at phase {alpha.p}/{alpha.q} is not finite "
+                         f"in double precision (X has {X.bit_length()} bits)")
+    return f_hi
 
 
 def product_formula(alpha: RationalPhase, k: int) -> complex:

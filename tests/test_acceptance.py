@@ -15,10 +15,10 @@ import pytest
 
 from tmcorr import (RationalPhase, SumLadder, build_transfer, corr_fast,
                     corr_naive, count_adjacent, count_classes_fast,
-                    count_classes_naive, dilation_naive, dilation_sum,
+                    count_classes_naive, count_tables, dilation_naive,
                     expsum_fast, fit_exponent, gelfond_count,
                     jordan_block_check, char_poly, roots, scan_alpha,
-                    spectral_report)
+                    shift_vectors, spectral_report)
 from tmcorr.correlation import NAIVE_LIMIT
 
 from conftest import eps_table
@@ -41,17 +41,20 @@ def test_c1_corr_and_dilation_equal_direct_all_X(q):
     tab = eps_table(q * X_SWEEP + q)
     base = tab[1:X_SWEEP + 1]
     idx = q * np.arange(1, X_SWEEP + 1, dtype=np.int64)
-    corr_memo: dict = {}
-    dil_memo: dict = {}
+    corr_oracle, dil_oracle = [], []
     for r in range(q):
         dilated = tab[idx + r]
-        corr_oracle = np.cumsum(base * dilated)
-        dil_oracle = np.cumsum(dilated)
-        for X in range(1, X_SWEEP + 1):
-            if corr_fast(q, r, X, memo=corr_memo) != corr_oracle[X - 1]:
-                pytest.fail(f"corr mismatch at q={q} r={r} X={X}")
-            if dilation_sum(q, r, X, memo=dil_memo) != dil_oracle[X - 1]:
-                pytest.fail(f"dilation mismatch at q={q} r={r} X={X}")
+        corr_oracle.append(np.cumsum(base * dilated))
+        dil_oracle.append(np.cumsum(dilated))
+    for block in _sweep_blocks():
+        corr = shift_vectors(q, block)
+        dil = shift_vectors(q, block, dilation=True)
+        for X in block:
+            for r in range(q):
+                if corr[X][r] != corr_oracle[r][X - 1]:
+                    pytest.fail(f"corr mismatch at q={q} r={r} X={X}")
+                if dil[X][r] != dil_oracle[r][X - 1]:
+                    pytest.fail(f"dilation mismatch at q={q} r={r} X={X}")
     _announce("C1a", f"corr/dilation exact for q={q}, all X <= 1e5")
 
 
@@ -60,8 +63,7 @@ def test_c1_count_tables_equal_direct_all_X(q):
     tab = eps_table(q * X_SWEEP + q)
     cls_base = (tab[1:X_SWEEP + 1] < 0).astype(np.int64)
     idx = q * np.arange(1, X_SWEEP + 1, dtype=np.int64)
-    corr_memo: dict = {}
-    dil_memo: dict = {}
+    oracles = []
     for r in range(q):
         cls_dil = (tab[idx + r] < 0).astype(np.int64)
         oracle = {}
@@ -69,15 +71,24 @@ def test_c1_count_tables_equal_direct_all_X(q):
             for k in (0, 1):
                 oracle[(i, k)] = np.cumsum(((cls_base == i) & (cls_dil == k))
                                            .astype(np.int64))
-        for X in range(1, X_SWEEP + 1):
-            table = count_classes_fast(q, r, X, corr_memo=corr_memo,
-                                       dil_memo=dil_memo)
-            for i in (0, 1):
-                for k in (0, 1):
-                    if table.cells[i][k] != oracle[(i, k)][X - 1]:
-                        pytest.fail(f"count mismatch q={q} r={r} X={X} "
-                                    f"cell=({i},{k})")
+        oracles.append(oracle)
+    for block in _sweep_blocks():
+        tables = count_tables(q, block)
+        for X in block:
+            for r in range(q):
+                table = tables[X][r]
+                for i in (0, 1):
+                    for k in (0, 1):
+                        if table.cells[i][k] != oracles[r][(i, k)][X - 1]:
+                            pytest.fail(f"count mismatch q={q} r={r} X={X} "
+                                        f"cell=({i},{k})")
     _announce("C1b", f"count tables exact for q={q}, all X <= 1e5")
+
+
+def _sweep_blocks(size: int = 4096):
+    """X = 1..X_SWEEP in consecutive blocks, one batched engine call each."""
+    for lo in range(1, X_SWEEP + 1, size):
+        yield range(lo, min(lo + size, X_SWEEP + 1))
 
 
 def test_c1_count_naive_agrees_on_samples():

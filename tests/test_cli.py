@@ -58,6 +58,16 @@ def test_corr_rejects_even_multiplier(capsys):
     assert err.strip() == "error: multiplier must be odd"
 
 
+@pytest.mark.parametrize("argv", [("corr", "3", "all", "2^-1"),
+                                  ("count", "3", "0", "2^-2..2^1"),
+                                  ("scan", "2^-1", "3")])
+def test_negative_power_exponent_is_refused(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == "error: powers of two need a nonnegative exponent\n"
+
+
 def test_corr_json(capsys):
     code, out, _ = run_cli(capsys, "corr", "5", "2", "2^8..2^8", "--format", "json")
     payload = json.loads(out)

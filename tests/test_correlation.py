@@ -3,8 +3,7 @@ import random
 import pytest
 
 from tmcorr import (NAIVE_LIMIT, build_transfer, corr_fast, corr_naive,
-                    dilation_naive, dilation_sum, eps)
-from tmcorr.correlation import _corr_prefixed
+                    dilation_naive, dilation_sum, eps, shift_vectors)
 
 
 def test_corr_naive_examples():
@@ -45,17 +44,17 @@ def test_naive_guard_rejects_huge_X():
 
 @pytest.mark.parametrize("q", [1, 3, 5, 7, 9])
 def test_fast_equals_naive_exhaustive_small(q):
+    corr = shift_vectors(q, range(1, 1500))
+    dil = shift_vectors(q, range(1, 1500), dilation=True)
     for r in range(q):
         acc_s = 0
         acc_u = 0
-        smemo: dict = {}
-        umemo: dict = {}
         for X in range(1, 1500):
             e2 = eps(q * X + r)
             acc_s += eps(X) * e2
             acc_u += e2
-            assert corr_fast(q, r, X, memo=smemo) == acc_s, (q, r, X)
-            assert dilation_sum(q, r, X, memo=umemo) == acc_u, (q, r, X)
+            assert corr[X][r] == acc_s, (q, r, X)
+            assert dil[X][r] == acc_u, (q, r, X)
 
 
 def test_fast_equals_naive_spot_large():
@@ -83,9 +82,9 @@ def test_q3_square_root_band_extends_to_2_40():
 
 
 def test_shared_memo_is_pure():
-    memo: dict = {}
-    a = corr_fast(5, 2, 99991, memo=memo)
-    b = corr_fast(5, 2, 99991, memo=memo)
+    # a batch shares bit-prefix work between its X; sharing never changes results
+    a = shift_vectors(5, [99991, 99990, 2 ** 17])[99991][2]
+    b = shift_vectors(5, [99991])[99991][2]
     assert a == b == corr_fast(5, 2, 99991)
 
 
@@ -137,12 +136,14 @@ def test_coefficient_duality(q):
     for _ in range(40):
         X = rng.randrange(1, 5000)
         c = [rng.randrange(-9, 10) for _ in range(q)]
-        memo: dict = {}
-        lhs = sum(c[r] * _corr_prefixed(q, X, r, memo) for r in range(q))
+        X_half = (X - 1) // 2
+        # sums over n = 0..Y: the batched sums over 1..Y plus the n = 0 term
+        sums = shift_vectors(q, [X, X_half])
+        prefixed = {Y: [v + eps(r) for r, v in enumerate(sums[Y])] for Y in sums}
+        lhs = sum(c[r] * prefixed[X][r] for r in range(q))
         ct = [sum(system.transfer[r][rp] * c[r] for r in range(q))
               for rp in range(q)]
-        X_half = (X - 1) // 2
-        rhs = sum(ct[rp] * _corr_prefixed(q, X_half, rp, memo) for rp in range(q))
+        rhs = sum(ct[rp] * prefixed[X_half][rp] for rp in range(q))
         if X % 2 == 0:
             # even part has one extra index k = X/2 beyond (X-1)//2
             k = X // 2

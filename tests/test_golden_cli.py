@@ -1,0 +1,68 @@
+"""Golden stdout: the exact bytes of `corr`, `count` and `scan` output.
+
+Each case runs the CLI in-process and compares stdout with
+``tests/golden/<name>.txt`` byte for byte.  The files pin the output of
+ladders reaching 2^256, single raw points, both formats, `--naive-check`,
+`--extension`, and scans at a power of two and at a random 180-bit X, so
+any change to the engines behind the CLI must keep every byte.
+
+After an intended output change, rewrite the files with
+
+    PYTHONPATH=src python tests/test_golden_cli.py
+"""
+
+import io
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from tmcorr.cli import main
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+X180 = 969185484185812792720387683606630142986788310967182944   # 180 bits
+
+CASES = {
+    "corr_all_csv": ["corr", "3", "all", "2^10..2^20"],
+    "corr_all_json": ["corr", "7", "all", "2^100..2^256:12", "--format", "json"],
+    "corr_all_q63_2_256": ["corr", "63", "all", "2^256"],
+    "corr_shift_ladder_csv": ["corr", "15", "11", "2^200..2^256:8"],
+    "corr_shift_point_json": ["corr", "5", "2", "123456789", "--format", "json"],
+    "corr_raw_range_point": ["corr", "9", "all", "4..4"],
+    "corr_zero": ["corr", "3", "all", "0", "--format", "json"],
+    "corr_naive_check_csv": ["corr", "5", "all", "2^6..2^18:3", "--naive-check"],
+    "corr_naive_check_json": ["corr", "3", "1", "1000", "--naive-check",
+                              "--format", "json"],
+    "count_all_csv": ["count", "5", "all", "2^10..2^30:5"],
+    "count_all_json": ["count", "3", "all", "2^200..2^256:8", "--format", "json"],
+    "count_shift_2_256_csv": ["count", "63", "40", "2^256"],
+    "count_shift_point_json": ["count", "11", "3", "98765", "--format", "json"],
+    "count_raw_range_point": ["count", "7", "all", "4..4"],
+    "count_extension_csv": ["count", "3", "5", "2^12", "--extension"],
+    "count_extension_json": ["count", "5", "7", "2^4..2^12:4", "--extension",
+                             "--format", "json"],
+    "scan_pow2_csv": ["scan", "2^40", "97"],
+    "scan_pow2_json": ["scan", "2^30", "12", "--format", "json"],
+    "scan_random_csv": ["scan", str(X180), "31"],
+    "scan_random_json": ["scan", str(X180), "17", "--format", "json"],
+}
+
+
+def _stdout(argv: list[str]) -> str:
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(argv)
+    assert code == 0, argv
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_stdout_matches_golden(name):
+    expected = (GOLDEN_DIR / f"{name}.txt").read_bytes()
+    assert _stdout(CASES[name]).encode("utf-8") == expected
+
+
+if __name__ == "__main__":
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for case, args in CASES.items():
+        (GOLDEN_DIR / f"{case}.txt").write_bytes(_stdout(args).encode("utf-8"))
