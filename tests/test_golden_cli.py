@@ -1,10 +1,13 @@
-"""Golden stdout: the exact bytes of `corr`, `count` and `scan` output.
+"""Golden stdout: the exact bytes of every CLI subcommand's output.
 
 Each case runs the CLI in-process and compares stdout with
 ``tests/golden/<name>.txt`` byte for byte.  The files pin the output of
-ladders reaching 2^256, single raw points, both formats, `--naive-check`,
-`--extension`, and scans at a power of two and at a random 180-bit X, so
-any change to the engines behind the CLI must keep every byte.
+`corr` and `count` ladders reaching 2^256, single raw points, both
+formats, `--naive-check`, `--extension`, scans at a power of two and at a
+random 180-bit X, `eps`, `eigen` spectra, `adjacent` tables with and
+without a deviation fit, and `fit` over the committed `corr`/`count`
+CSVs, so any change to the engines or the serializer behind the CLI must
+keep every byte.
 
 After an intended output change, rewrite the files with
 
@@ -45,6 +48,20 @@ CASES = {
     "scan_pow2_json": ["scan", "2^30", "12", "--format", "json"],
     "scan_random_csv": ["scan", str(X180), "31"],
     "scan_random_json": ["scan", str(X180), "17", "--format", "json"],
+    "eps": ["eps", str(X180)],
+    "eigen_q3": ["eigen", "3"],
+    "eigen_q5": ["eigen", "5"],
+    "eigen_q9": ["eigen", "9"],
+    "eigen_q15": ["eigen", "15"],
+    "eigen_q31": ["eigen", "31"],
+    "adjacent_fit_csv": ["adjacent", "2^8..2^14:2"],
+    "adjacent_fit_json": ["adjacent", "2^8..2^14:2", "--format", "json"],
+    "adjacent_two_csv": ["adjacent", "2^10..2^12:2"],
+    "adjacent_two_json": ["adjacent", "2^10..2^12:2", "--format", "json"],
+    "fit_corr_csv": ["fit", str(GOLDEN_DIR / "corr_all_csv.txt"), "--format", "csv"],
+    "fit_corr_json": ["fit", str(GOLDEN_DIR / "corr_all_csv.txt")],
+    "fit_count_csv": ["fit", str(GOLDEN_DIR / "count_all_csv.txt"), "--format", "csv"],
+    "fit_count_json": ["fit", str(GOLDEN_DIR / "count_all_csv.txt")],
 }
 
 
