@@ -8,9 +8,9 @@ size limit on X, and agree with the direct loops to the last digit; the
 direct loops double as test oracles.
 """
 
-from .digitseq import eps, class_of, eps_partial_sum, gelfond_count
-from .correlation import (CorrelationSystem, NAIVE_LIMIT, build_transfer,
-                          corr_fast, corr_naive, dilation_naive, dilation_sum,
+from .digitseq import NAIVE_LIMIT, eps, class_of, eps_partial_sum, gelfond_count
+from .correlation import (CorrelationSystem, build_transfer, corr_fast,
+                          corr_naive, dilation_naive, dilation_sum,
                           shift_vectors)
 from .spectral import (MonicIntPolynomial, RootFindingError, SpectralReport,
                        char_poly, cluster_roots, int_poly_gcd,
@@ -20,8 +20,7 @@ from .expsum import (RationalPhase, ScanResult, expsum_fast, expsum_naive,
                      product_formula, scan_alpha)
 from .counting import (CountTable, count_adjacent, count_classes_fast,
                        count_classes_naive, count_tables)
-from .report import (ExponentFit, SumLadder, emit, fit_exponent,
-                     parse_count_table_csv, parse_ladder_csv)
+from .report import ExponentFit, SumLadder, emit, fit_exponent
 
 __version__ = "0.1.0"
 
@@ -33,7 +32,6 @@ __all__ = [
     "count_classes_fast", "count_classes_naive", "count_tables",
     "dilation_naive", "dilation_sum", "emit", "eps", "eps_partial_sum",
     "expsum_fast", "expsum_naive", "fit_exponent", "gelfond_count",
-    "int_poly_gcd", "jordan_block_check", "parse_count_table_csv",
-    "parse_ladder_csv", "power_growth", "product_formula", "roots",
-    "scan_alpha", "shift_vectors", "spectral_report",
+    "int_poly_gcd", "jordan_block_check", "power_growth", "product_formula",
+    "roots", "scan_alpha", "shift_vectors", "spectral_report",
 ]

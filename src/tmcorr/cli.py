@@ -7,7 +7,6 @@ with a raw integer is accepted as a single point.
 """
 
 import argparse
-import json
 import sys
 
 from .digitseq import eps, class_of
@@ -15,7 +14,7 @@ from .correlation import corr_naive, build_transfer, shift_vectors
 from .spectral import DEFAULT_SEED, spectral_report
 from .expsum import RationalPhase, scan_alpha
 from .counting import count_classes_naive, count_tables, count_adjacent
-from .report import (SumLadder, emit, fit_exponent, format_number)
+from .report import SumLadder, emit, fit_exponent, fit_record, round12
 
 NAIVE_CHECK_LIMIT = 10**5
 
@@ -69,18 +68,6 @@ def _parse_shifts(text: str, q: int, extension: bool | None = None) -> list[int]
     return [r]
 
 
-def _csv_lines(header: list[str], rows: list[list]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_number(v) if isinstance(v, (int, float))
-                              else str(v) for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
-
-
 def cmd_eps(args) -> str:
     n = _parse_point(args.n)
     return f"{eps(n):+d} class={class_of(n)} bits={n.bit_count()}\n"
@@ -106,10 +93,8 @@ def cmd_corr(args) -> str:
                 else:
                     row["check"] = "skipped"
             rows.append(row)
-    if args.format == "json":
-        return _json_text({"q": q, "shifts": shifts, "rows": rows})
-    header = ["X", "r", "value"] + (["check"] if args.naive_check else [])
-    return _csv_lines(header, [[row[h] for h in header] for row in rows])
+    columns = ["X", "r", "value"] + (["check"] if args.naive_check else [])
+    return emit({"q": q, "shifts": shifts, "rows": rows}, args.format, columns)
 
 
 def cmd_eigen(args) -> str:
@@ -120,25 +105,23 @@ def cmd_eigen(args) -> str:
     payload = {
         "q": args.q,
         "char_poly": list(rep.poly.coeffs),
-        "roots": [{"re": float(f"{z.real:.12g}"), "im": float(f"{z.imag:.12g}"),
-                   "multiplicity": m} for z, m in rep.roots],
-        "radius": float(f"{rep.radius:.12g}"),
-        "exponent": float(f"{rep.exponent:.12g}"),
+        "roots": [{"re": round12(z.real), "im": round12(z.imag), "multiplicity": m}
+                  for z, m in rep.roots],
+        "radius": round12(rep.radius),
+        "exponent": round12(rep.exponent),
     }
-    return _json_text(payload)
+    return emit(payload, "json")
 
 
-def _deviation_fit(label: str, by_X: dict[int, float]):
-    xs = sorted(by_X)
-    if len(xs) < 3 or any(x < 2 for x in xs):
-        return None
-    ladder = SumLadder(label=label, samples=tuple((x, by_X[x]) for x in xs))
-    fit = fit_exponent(ladder)
-    return {"slope": float(f"{fit.slope:.12g}"),
-            "intercept": float(f"{fit.intercept:.12g}"),
-            "max_residual": float(f"{fit.max_residual:.12g}"),
-            "n_samples": fit.n_samples,
-            "n_clamped": fit.n_clamped}
+def _fit(label: str, by_X: dict[int, float]) -> dict:
+    ladder = SumLadder(label=label, samples=tuple(sorted(by_X.items())))
+    return fit_record(fit_exponent(ladder))
+
+
+def _add_deviation_fit(payload: dict, label: str, by_X: dict[int, float]) -> None:
+    """Attach the log-log fit of the worst deviation per X (>= 3 points, X >= 2)."""
+    if len(by_X) >= 3 and min(by_X) >= 2:
+        payload["deviation_fit"] = _fit(label, by_X)
 
 
 def cmd_count(args) -> str:
@@ -163,15 +146,11 @@ def cmd_count(args) -> str:
                                  "deviation": table.deviation(i, k)})
             worst = table.max_abs_deviation()
             worst_by_X[X] = max(worst_by_X.get(X, 0.0), worst)
+    payload = {"q": q, "shifts": shifts, "extension": bool(args.extension),
+               "rows": rows}
     if args.format == "json":
-        payload = {"q": q, "shifts": shifts, "extension": bool(args.extension),
-                   "rows": rows}
-        fit = _deviation_fit(f"count q={q} deviations", worst_by_X)
-        if fit is not None:
-            payload["deviation_fit"] = fit
-        return _json_text(payload)
-    header = ["X", "q", "r", "i", "k", "cell", "deviation"]
-    return _csv_lines(header, [[row[h] for h in header] for row in rows])
+        _add_deviation_fit(payload, f"count q={q} deviations", worst_by_X)
+    return emit(payload, args.format, ["X", "q", "r", "i", "k", "cell", "deviation"])
 
 
 def cmd_adjacent(args) -> str:
@@ -185,31 +164,22 @@ def cmd_adjacent(args) -> str:
                 main = X / 6 if i == k else X / 3
                 dev = F[i][k] - main
                 rows.append({"X": X, "i": i, "k": k, "count": F[i][k],
-                             "main": float(f"{main:.12g}"),
-                             "deviation": float(f"{dev:.12g}")})
+                             "main": round12(main), "deviation": round12(dev)})
                 worst_by_X[X] = max(worst_by_X.get(X, 0.0), abs(dev))
+    payload = {"rows": rows}
     if args.format == "json":
-        payload = {"rows": rows}
-        fit = _deviation_fit("adjacent deviations", worst_by_X)
-        if fit is not None:
-            payload["deviation_fit"] = fit
-        return _json_text(payload)
-    header = ["X", "i", "k", "count", "main", "deviation"]
-    return _csv_lines(header, [[row[h] for h in header] for row in rows])
+        _add_deviation_fit(payload, "adjacent deviations", worst_by_X)
+    return emit(payload, args.format, ["X", "i", "k", "count", "main", "deviation"])
 
 
 def cmd_scan(args) -> str:
     X = _parse_point(args.X)
     result = scan_alpha(X, args.grid)
+    alpha = RationalPhase(result.argmax_p, result.grid)
     payload = {"X": result.X, "grid": result.grid,
-               "max_modulus": float(f"{result.max_modulus:.12g}"),
-               "p": result.argmax_p,
-               "alpha": f"{RationalPhase(result.argmax_p, result.grid).p}"
-                        f"/{RationalPhase(result.argmax_p, result.grid).q}"}
-    if args.format == "json":
-        return _json_text(payload)
-    header = ["X", "grid", "max_modulus", "p"]
-    return _csv_lines(header, [[payload[h] for h in header]])
+               "max_modulus": round12(result.max_modulus),
+               "p": result.argmax_p, "alpha": f"{alpha.p}/{alpha.q}"}
+    return emit(payload, args.format, ["X", "grid", "max_modulus", "p"])
 
 
 def cmd_fit(args) -> str:
@@ -232,9 +202,8 @@ def cmd_fit(args) -> str:
             by_X[X] = max(by_X.get(X, 0.0), v)
     if len(by_X) < 3:
         raise ValueError("need >= 3 samples")
-    ladder = SumLadder(label=f"max |{col}| from {args.path}",
-                       samples=tuple((x, by_X[x]) for x in sorted(by_X)))
-    return emit(fit_exponent(ladder), args.format)
+    record = _fit(f"max |{col}| from {args.path}", by_X)
+    return emit(record, args.format, list(record))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -245,12 +214,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, default_format="csv"):
-        p.add_argument("--format", choices=("csv", "json"), default=default_format)
+        if default_format is not None:
+            p.add_argument("--format", choices=("csv", "json"), default=default_format)
         p.add_argument("--out", default=None, help="write output to a file")
 
     p = sub.add_parser("eps", help="sign, class, and bit count of n")
     p.add_argument("n")
-    add_common(p)
+    add_common(p, default_format=None)
     p.set_defaults(func=cmd_eps)
 
     p = sub.add_parser("corr", help="correlation sums S_q(X, r) over a ladder")
@@ -300,11 +270,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # X, the sums and the cells may have any number of decimal digits; Python
+    # caps int <-> str conversion at 4300 digits (from 3.10.7) unless lifted
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digit_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         text = args.func(args)
     except (ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

@@ -19,10 +19,7 @@ the exact sizes makes it agree with the direct loop to the last integer.
 
 from dataclasses import dataclass
 
-from .digitseq import eps
-
-# direct-loop guard: above this the O(X) paths refuse instead of hanging
-NAIVE_LIMIT = 10**7
+from .digitseq import NAIVE_LIMIT, check_naive_limit, eps   # NAIVE_LIMIT: re-exported
 
 
 def _validate_batch(q: int, xs) -> None:
@@ -38,15 +35,10 @@ def _validate(q: int, r: int, X: int) -> None:
         raise ValueError(f"shift must satisfy 0 <= r < q, got r={r} q={q}")
 
 
-def _check_naive_guard(X: int) -> None:
-    if X > NAIVE_LIMIT:
-        raise ValueError(f"direct loop refused for X > {NAIVE_LIMIT}; use the fast path")
-
-
 def corr_naive(q: int, r: int, X: int) -> int:
     """S_q(X, r) by direct summation; O(X) terms."""
     _validate(q, r, X)
-    _check_naive_guard(X)
+    check_naive_limit(X)
     return sum(eps(n) * eps(q * n + r) for n in range(1, X + 1))
 
 
@@ -132,7 +124,7 @@ def dilation_sum(q: int, r: int, X: int) -> int:
 def dilation_naive(q: int, r: int, X: int) -> int:
     """U_q(X, r) by direct summation; the oracle for dilation_sum."""
     _validate(q, r, X)
-    _check_naive_guard(X)
+    check_naive_limit(X)
     return sum(eps(q * n + r) for n in range(1, X + 1))
 
 

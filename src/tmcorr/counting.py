@@ -14,8 +14,8 @@ pass of the correlation module's halving engine per sum.
 
 from dataclasses import dataclass
 
-from .digitseq import class_of, eps_partial_sum
-from .correlation import NAIVE_LIMIT, corr_fast, dilation_sum, shift_vectors
+from .digitseq import check_naive_limit, class_of, eps_partial_sum
+from .correlation import corr_fast, dilation_sum, shift_vectors
 
 
 @dataclass(frozen=True)
@@ -36,13 +36,6 @@ class CountTable:
         total = sum(map(sum, self.cells))
         if total != self.X:
             raise ValueError(f"cells sum to {total}, expected X={self.X}")
-
-    @property
-    def main_term(self) -> float:
-        return self.X / 4
-
-    def cell(self, i: int, k: int) -> int:
-        return self.cells[i][k]
 
     def deviation(self, i: int, k: int) -> float:
         """cells[i][k] - X/4; exact (quarters are representable)."""
@@ -75,9 +68,7 @@ def count_classes_naive(q: int, r: int, X: int, extension: bool = False) -> Coun
     claim is attached to such shifts).
     """
     _validate(q, r, X, extension)
-    if X > NAIVE_LIMIT:
-        raise ValueError(f"direct loop refused for X > {NAIVE_LIMIT}; "
-                         "use count_classes_fast")
+    check_naive_limit(X)
     cells = [[0, 0], [0, 0]]
     for m in range(1, X + 1):
         cells[class_of(m)][class_of(q * m + r)] += 1
@@ -126,8 +117,7 @@ def count_adjacent(X: int) -> tuple[tuple[int, int], tuple[int, int]]:
     """
     if X < 0:
         raise ValueError("X must be nonnegative")
-    if X > NAIVE_LIMIT:
-        raise ValueError(f"adjacent-pair loop refused for X > {NAIVE_LIMIT}")
+    check_naive_limit(X)
     F = [[0, 0], [0, 0]]
     if X < 2:
         return ((0, 0), (0, 0))

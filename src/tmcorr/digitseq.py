@@ -5,6 +5,15 @@ expansion of n, splits the naturals into class 0 (even digit sum) and
 class 1 (odd digit sum).  Everything here is exact integer arithmetic.
 """
 
+# direct-loop guard: above this the O(X) paths refuse instead of hanging
+NAIVE_LIMIT = 10**7
+
+
+def check_naive_limit(X: int) -> None:
+    """Refuse a direct O(X) loop for X > NAIVE_LIMIT."""
+    if X > NAIVE_LIMIT:
+        raise ValueError(f"direct loop refused for X > {NAIVE_LIMIT}")
+
 
 def eps(n: int) -> int:
     """Sign (-1)**popcount(n) for n >= 0; eps(0) = +1."""

@@ -11,9 +11,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .digitseq import eps
-
-NAIVE_LIMIT = 10**7
+from .digitseq import NAIVE_LIMIT, check_naive_limit, eps   # NAIVE_LIMIT: re-exported
 MAX_PRODUCT_LEVELS = 50
 _TWO_PI = 2.0 * math.pi
 _BASE = (0j, 1 + 0j)   # f(0), f(1)
@@ -55,8 +53,7 @@ def expsum_naive(alpha: RationalPhase, X: int) -> complex:
     """
     if X < 0:
         raise ValueError("X must be nonnegative")
-    if X > NAIVE_LIMIT:
-        raise ValueError(f"direct loop refused for X > {NAIVE_LIMIT}; use expsum_fast")
+    check_naive_limit(X)
     q = alpha.q
     table = [cmath.exp(1j * _TWO_PI * k / q) for k in range(q)]
     total = 0j

@@ -1,20 +1,20 @@
-"""Exponent fitting and CSV/JSON serialization of ladders, tables, and fits.
+"""CSV/JSON serialization of the CLI's records, and exponent fitting.
+
+``emit`` writes every CSV and JSON the package produces.  A payload is a
+dict: JSON prints it whole; CSV prints a header of the chosen columns and
+one line per record of ``payload["rows"]`` (or the payload itself when
+it has no rows), with LF endings.  Integers are written without a decimal
+point and reals with 12 significant digits, so integer values round-trip
+losslessly.
 
 A ladder is an ordered list of (X, value) samples; its growth exponent is
-the least-squares slope in log2-log2 space.  Serialization is plain: CSV
-with a fixed header and LF endings, JSON with the field names of the
-domain types.  Integers are emitted without a decimal point and floats
-with 12 significant digits, so integer payloads round-trip losslessly.
+the least-squares slope in log2-log2 space.
 """
 
-import csv
-import io
 import json
 import math
 import statistics
 from dataclasses import dataclass
-
-from .counting import CountTable
 
 
 def format_number(x) -> str:
@@ -28,8 +28,25 @@ def format_number(x) -> str:
     return f"{x:.12g}"
 
 
-def _round12(x: float) -> float:
+def round12(x: float) -> float:
+    """x rounded to the 12 significant digits that every printed real carries."""
     return float(f"{x:.12g}")
+
+
+def emit(payload: dict, format: str = "csv", columns=()) -> str:
+    """Serialize a record payload as json, or as csv with the given columns.
+
+    CSV values go through format_number; strings pass through as they are.
+    """
+    if format == "json":
+        return json.dumps(payload, indent=2) + "\n"
+    if format != "csv":
+        raise ValueError(f"unknown format {format!r}")
+    lines = [",".join(columns)]
+    for record in payload.get("rows", (payload,)):
+        lines.append(",".join(v if isinstance(v, str) else format_number(v)
+                              for v in map(record.__getitem__, columns)))
+    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -84,102 +101,10 @@ def fit_exponent(ladder: SumLadder) -> ExponentFit:
                        n_samples=len(ladder.samples), n_clamped=n_clamped)
 
 
-def _csv_writer(buf):
-    return csv.writer(buf, lineterminator="\n")
-
-
-def emit(obj, format: str = "csv") -> str:
-    """Serialize a SumLadder, CountTable, or ExponentFit to csv or json."""
-    if format not in ("csv", "json"):
-        raise ValueError(f"unknown format {format!r}")
-    if isinstance(obj, SumLadder):
-        return _emit_ladder(obj, format)
-    if isinstance(obj, CountTable):
-        return _emit_count_table(obj, format)
-    if isinstance(obj, ExponentFit):
-        return _emit_fit(obj, format)
-    raise ValueError(f"cannot serialize {type(obj).__name__}")
-
-
-def _emit_ladder(ladder: SumLadder, format: str) -> str:
-    if format == "csv":
-        buf = io.StringIO()
-        w = _csv_writer(buf)
-        w.writerow(["X", "value"])
-        for x, v in ladder.samples:
-            w.writerow([format_number(x), format_number(v)])
-        return buf.getvalue()
-    return json.dumps({
-        "label": ladder.label,
-        "samples": [[x, _round12(float(v))] for x, v in ladder.samples],
-    }, indent=2) + "\n"
-
-
-def _emit_count_table(table: CountTable, format: str) -> str:
-    if format == "csv":
-        buf = io.StringIO()
-        w = _csv_writer(buf)
-        w.writerow(["i", "k", "cell", "deviation"])
-        for i in (0, 1):
-            for k in (0, 1):
-                w.writerow([i, k, format_number(table.cells[i][k]),
-                            format_number(table.deviation(i, k))])
-        return buf.getvalue()
-    return json.dumps({
-        "q": table.q,
-        "r": table.r,
-        "X": table.X,
-        "cells": [list(row) for row in table.cells],
-        "deviations4": [list(row) for row in table.deviations4],
-        "main_term": _round12(table.main_term),
-    }, indent=2) + "\n"
-
-
-def _emit_fit(fit: ExponentFit, format: str) -> str:
-    if format == "csv":
-        buf = io.StringIO()
-        w = _csv_writer(buf)
-        w.writerow(["slope", "intercept", "max_residual", "n_samples", "n_clamped"])
-        w.writerow([format_number(_round12(fit.slope)),
-                    format_number(_round12(fit.intercept)),
-                    format_number(_round12(fit.max_residual)),
-                    fit.n_samples, fit.n_clamped])
-        return buf.getvalue()
-    return json.dumps({
-        "slope": _round12(fit.slope),
-        "intercept": _round12(fit.intercept),
-        "max_residual": _round12(fit.max_residual),
-        "n_samples": fit.n_samples,
-        "n_clamped": fit.n_clamped,
-    }, indent=2) + "\n"
-
-
-def _parse_scalar(text: str):
-    return float(text) if ("." in text or "e" in text or "E" in text) else int(text)
-
-
-def parse_ladder_csv(text: str, label: str = "") -> SumLadder:
-    """Inverse of emit(ladder, 'csv')."""
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or rows[0] != ["X", "value"]:
-        raise ValueError("expected header 'X,value'")
-    samples = tuple((int(x), float(_parse_scalar(v))) for x, v in rows[1:])
-    return SumLadder(label=label, samples=samples)
-
-
-def parse_count_table_csv(text: str, q: int, r: int) -> CountTable:
-    """Inverse of emit(table, 'csv'); q and r are not stored in the CSV
-    and must be resupplied.  X is recovered as the cell total."""
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or rows[0] != ["i", "k", "cell", "deviation"]:
-        raise ValueError("expected header 'i,k,cell,deviation'")
-    if len(rows) != 5:
-        raise ValueError("count table must have exactly four rows")
-    cells = [[0, 0], [0, 0]]
-    for i_s, k_s, cell_s, _dev in rows[1:]:
-        cells[int(i_s)][int(k_s)] = int(cell_s)
-    X = sum(v for row in cells for v in row)
-    dev4 = tuple(tuple(4 * cells[i][k] - X for k in (0, 1)) for i in (0, 1))
-    return CountTable(q=q, r=r, X=X,
-                      cells=tuple(tuple(row) for row in cells),
-                      deviations4=dev4)
+def fit_record(fit: ExponentFit) -> dict:
+    """The printed fields of a fit, reals rounded by round12."""
+    return {"slope": round12(fit.slope),
+            "intercept": round12(fit.intercept),
+            "max_residual": round12(fit.max_residual),
+            "n_samples": fit.n_samples,
+            "n_clamped": fit.n_clamped}

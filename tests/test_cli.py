@@ -35,6 +35,8 @@ def test_eps_command(capsys):
     assert code == 0 and out == "-1 class=1 bits=3\n"
     code, out, _ = run_cli(capsys, "eps", "0")
     assert code == 0 and out == "+1 class=0 bits=0\n"
+    with pytest.raises(SystemExit):        # eps prints plain text only
+        main(["eps", "7", "--format", "json"])
 
 
 def test_corr_ladder_row_count(capsys):

@@ -14,6 +14,7 @@ Every call runs under the interpreter's default recursion limit.
 """
 
 import random
+import sys
 
 import pytest
 
@@ -146,3 +147,23 @@ def test_cli_huge_x_succeeds_or_fails_with_one_line(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_cli_past_4300_digits(capsys):
+    # 2^15000 has 4516 decimal digits, past Python's default int <-> str cap
+    limit = sys.get_int_max_str_digits()
+    X = 2 ** 15000
+    assert main(["corr", "3", "0", "2^15000"]) == 0
+    assert sys.get_int_max_str_digits() == limit
+    header, row = capsys.readouterr().out.splitlines()
+    assert header == "X,r,value"
+    sys.set_int_max_str_digits(0)
+    try:
+        assert row == f"{X},0,{corr_fast(3, 0, X)}"
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert main(["corr", "3", "0", "2^15000", "--format", "json"]) == 0
+    assert sys.get_int_max_str_digits() == limit
+    assert main(["count", "3", "0", "2^15000"]) == 1     # deviation past double range
+    assert sys.get_int_max_str_digits() == limit
+    capsys.readouterr()

@@ -1,10 +1,13 @@
+import csv
+import io
 import json
 
 import pytest
 
 from tmcorr import (RationalPhase, SumLadder, count_classes_fast, emit,
-                    fit_exponent, parse_count_table_csv, parse_ladder_csv,
-                    product_formula)
+                    fit_exponent, product_formula)
+from tmcorr.cli import main
+from tmcorr.report import fit_record
 
 
 def _ladder(values):
@@ -63,55 +66,69 @@ def test_ladder_requires_increasing_X():
         SumLadder(label="bad", samples=((4, 1.0), (4, 2.0)))
 
 
+def _cli_stdout(capsys, *argv):
+    assert main(list(argv)) == 0
+    return capsys.readouterr().out
+
+
 def test_emit_empty_ladder_csv_header_only():
-    text = emit(SumLadder(label="empty", samples=()), "csv")
-    assert text == "X,value\n"
+    assert emit({"rows": []}, "csv", ["X", "value"]) == "X,value\n"
 
 
 def test_emit_ladder_round_trip():
-    ladder = SumLadder(label="s", samples=((4, 3.0), (8, 0.0), (1024, 6561.0)))
-    text = emit(ladder, "csv")
-    assert text == "X,value\n4,3\n8,0\n1024,6561\n"
-    back = parse_ladder_csv(text, label="s")
-    assert back == ladder
-    assert emit(back, "csv") == text
+    rows = [{"X": 4, "value": 3.0}, {"X": 8, "value": 0.0}, {"X": 1024, "value": 6561.0}]
+    assert emit({"rows": rows}, "csv", ["X", "value"]) == "X,value\n4,3\n8,0\n1024,6561\n"
+    # integers of any size come back exactly
+    rows = [{"X": 2 ** 256, "value": -(3 ** 161)}, {"X": 2 ** 256 + 1, "value": 0}]
+    text = emit({"rows": rows}, "csv", ["X", "value"])
+    back = [{k: int(v) for k, v in row.items()} for row in csv.DictReader(io.StringIO(text))]
+    assert back == rows
 
 
-def test_emit_count_table_csv():
-    table = count_classes_fast(3, 0, 8)
-    text = emit(table, "csv")
-    lines = text.splitlines()
-    assert lines[0] == "i,k,cell,deviation"
-    assert lines[1:] == ["0,0,3,1", "0,1,0,-2", "1,0,4,2", "1,1,1,-1"]
+def test_emit_count_table_csv(capsys):
+    lines = _cli_stdout(capsys, "count", "3", "0", "8").splitlines()
+    assert lines[0] == "X,q,r,i,k,cell,deviation"
+    assert lines[1:] == ["8,3,0,0,0,3,1", "8,3,0,0,1,0,-2",
+                         "8,3,0,1,0,4,2", "8,3,0,1,1,1,-1"]
 
 
-def test_count_table_round_trip():
+def test_count_table_round_trip(capsys, tmp_path):
     table = count_classes_fast(5, 2, 1000)
-    text = emit(table, "csv")
-    back = parse_count_table_csv(text, q=5, r=2)
-    assert back == table
-    as_json = json.loads(emit(table, "json"))
-    assert as_json["cells"] == [list(row) for row in table.cells]
-    assert as_json["X"] == 1000
+    out = tmp_path / "count.csv"
+    assert main(["count", "5", "2", "1000", "--out", str(out)]) == 0
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 4
+    assert all((row["X"], row["q"], row["r"]) == ("1000", "5", "2") for row in rows)
+    cells = [[0, 0], [0, 0]]
+    for row in rows:
+        i, k = int(row["i"]), int(row["k"])
+        cells[i][k] = int(row["cell"])
+        assert float(row["deviation"]) == table.deviation(i, k)
+    assert tuple(map(tuple, cells)) == table.cells
+    as_json = json.loads(_cli_stdout(capsys, "count", "5", "2", "1000", "--format", "json"))
+    assert [row["cell"] for row in as_json["rows"]] == [c for row in table.cells for c in row]
+    assert {row["X"] for row in as_json["rows"]} == {1000}
 
 
 def test_emit_fit_json_fields():
     fit = fit_exponent(_ladder((2 ** k, 2.0 ** (0.5 * k)) for k in range(4, 10)))
-    payload = json.loads(emit(fit, "json"))
+    payload = json.loads(emit(fit_record(fit), "json"))
     assert set(payload) == {"slope", "intercept", "max_residual",
                             "n_samples", "n_clamped"}
     assert abs(payload["slope"] - 0.5) < 1e-9
 
 
 def test_emit_uses_lf_and_12_digits():
-    ladder = SumLadder(label="f", samples=((4, 1 / 3), (8, 2 / 3), (16, 4 / 3)))
-    text = emit(ladder, "csv")
+    rows = [{"X": 4, "value": 1 / 3}, {"X": 8, "value": 2 / 3}, {"X": 16, "value": 4 / 3}]
+    text = emit({"rows": rows}, "csv", ["X", "value"])
     assert "\r" not in text
     assert "0.333333333333" in text
+    assert emit({"X": 4, "check": "ok"}, "csv", ["X", "check"]) == "X,check\n4,ok\n"
 
 
 def test_emit_rejects_unknown():
+    with pytest.raises(KeyError):
+        emit({"rows": [{"X": 4}]}, "csv", ["X", "value"])
     with pytest.raises(ValueError):
-        emit(object(), "csv")
-    with pytest.raises(ValueError):
-        emit(SumLadder(label="x", samples=()), "yaml")
+        emit({"rows": []}, "yaml")
