@@ -7,6 +7,7 @@ with a raw integer is accepted as a single point.
 """
 
 import argparse
+import functools
 import sys
 
 from .digitseq import eps, class_of
@@ -267,9 +268,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call; parse_args does not change it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     # X, the sums and the cells may have any number of decimal digits; Python
     # caps int <-> str conversion at 4300 digits (from 3.10.7) unless lifted
     digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()

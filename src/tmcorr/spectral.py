@@ -1,12 +1,15 @@
 """Exact characteristic polynomials and complex spectra of integer matrices.
 
 Matrices are plain sequences of equal-length integer rows.  The
-characteristic polynomial is computed exactly (Faddeev-LeVerrier trace
-recursion over Python integers), roots numerically by a simultaneous
-Durand-Kerner iteration started from a perturbed circle, and root
-multiplicities are cross-checked against the exact square-free part
-gcd(p, p').  The spectral radius of a correlation transfer matrix
-predicts the growth exponent log2(radius) of the correlation sums.
+characteristic polynomial is computed exactly by the Faddeev-LeVerrier
+trace recursion over Python integers; each step multiplies through the
+nonzero entries of each row only, so a transfer matrix (two +-1 entries
+per row) costs 2n^2 per step, not n^3.  Roots are found numerically by a
+simultaneous Durand-Kerner iteration started from a perturbed circle, and
+root multiplicities are cross-checked against the exact square-free part
+gcd(p, p'), taken by a primitive pseudo-remainder sequence over the
+integers.  The spectral radius of a correlation transfer matrix predicts
+the growth exponent log2(radius) of the correlation sums.
 """
 
 import cmath
@@ -46,24 +49,17 @@ def _as_matrix(M) -> IntMatrix:
     return rows
 
 
-def _mat_mul(A: IntMatrix, B: IntMatrix) -> IntMatrix:
-    n = len(A)
-    return tuple(
-        tuple(sum(A[i][t] * B[t][j] for t in range(n)) for j in range(n))
-        for i in range(n)
-    )
+def _nonzero_rows(A: IntMatrix) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per row, the (column, value) pairs of its nonzero entries."""
+    return tuple(tuple((t, v) for t, v in enumerate(row) if v) for row in A)
 
 
-def _mat_vec(A: IntMatrix, v: tuple[int, ...]) -> tuple[int, ...]:
-    n = len(A)
-    return tuple(sum(A[i][t] * v[t] for t in range(n)) for i in range(n))
-
-
-def _add_diag(A: IntMatrix, c: int) -> IntMatrix:
-    return tuple(
-        tuple(A[i][j] + (c if i == j else 0) for j in range(len(A)))
-        for i in range(len(A))
-    )
+def _row_combination(nonzero: tuple[tuple[int, int], ...], B) -> list[int]:
+    """sum(v * B[t]) over the nonzero (t, v) of one row: a row of A @ B."""
+    acc = [0] * len(B)
+    for t, v in nonzero:
+        acc = [a + v * b for a, b in zip(acc, B[t])]
+    return acc
 
 
 @dataclass(frozen=True)
@@ -119,18 +115,18 @@ def char_poly(M) -> MonicIntPolynomial:
     n = len(A)
     if n > MAX_DIM:
         raise ValueError(f"dimension {n} exceeds limit {MAX_DIM}")
+    nonzero = _nonzero_rows(A)
     coeffs_desc = [1]
-    Mk = A
-    c = -sum(Mk[i][i] for i in range(n))
-    coeffs_desc.append(c)
-    for k in range(2, n + 1):
-        Mk = _mat_mul(A, _add_diag(Mk, c))
-        quot, rem = divmod(-sum(Mk[i][i] for i in range(n)), k)
+    Mk = [list(row) for row in A]
+    for k in range(1, n + 1):
+        c, rem = divmod(-sum(Mk[i][i] for i in range(n)), k)
         assert rem == 0, "Faddeev-LeVerrier trace must divide exactly"
-        c = quot
         coeffs_desc.append(c)
-    final = _add_diag(Mk, c)
-    assert all(v == 0 for row in final for v in row), \
+        for i in range(n):
+            Mk[i][i] += c                      # Mk + c I, in place
+        if k < n:
+            Mk = [_row_combination(row, Mk) for row in nonzero]
+    assert all(v == 0 for row in Mk for v in row), \
         "Faddeev-LeVerrier terminal identity violated"
     return MonicIntPolynomial(coeffs=tuple(reversed(coeffs_desc)))
 
@@ -234,44 +230,40 @@ def cluster_roots(zs: list[complex], tol: float = 1e-6) -> list[tuple[complex, i
     return [(sum(ms) / len(ms), len(ms)) for ms in clusters]
 
 
-def _poly_divmod(a: list[Fraction], b: list[Fraction]):
-    """Division with remainder for ascending Fraction coefficient lists."""
-    rem = a[:]
-    db = len(b) - 1
-    lead = b[-1]
-    quot = [Fraction(0)] * max(len(a) - db, 1)
-    while len(rem) - 1 >= db and any(rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < db:
-            break
-        shift = len(rem) - 1 - db
-        factor = rem[-1] / lead
-        quot[shift] = factor
-        for i in range(len(b)):
-            rem[shift + i] -= factor * b[i]
-        rem.pop()
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return quot, rem
+def _primitive(p) -> list[int]:
+    """p without trailing zeros over its content, leading coefficient > 0."""
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    if not p:
+        return p
+    content = math.gcd(*p)
+    if p[-1] < 0:
+        content = -content
+    return [c // content for c in p]
 
 
 def int_poly_gcd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Primitive gcd of two integer polynomials (ascending coefficients)."""
-    fa = [Fraction(c) for c in a]
-    fb = [Fraction(c) for c in b]
-    while fb and any(fb):
-        _, r = _poly_divmod(fa, fb)
-        fa, fb = fb, r
-    if not fa:
-        return (0,)
-    denom = math.lcm(*(f.denominator for f in fa))
-    ints = [int(f * denom) for f in fa]
-    content = math.gcd(*(abs(v) for v in ints))
-    ints = [v // content for v in ints]
-    if ints[-1] < 0:
-        ints = [-v for v in ints]
-    return tuple(ints)
+    """Primitive gcd of two integer polynomials (ascending coefficients).
+
+    Primitive pseudo-remainder sequence: each step takes the lead(b)-scaled
+    remainder of a by b, then divides out its content.  The result has
+    content 1 and a positive leading coefficient; gcd(0, 0) is (0,).
+    """
+    a, b = _primitive(a), _primitive(b)
+    while b:
+        lead, db = b[-1], len(b) - 1
+        r = a
+        while len(r) > db:
+            f = r.pop()
+            shift = len(r) - db
+            r = [lead * c for c in r]
+            for i in range(db):
+                r[shift + i] -= f * b[i]
+            while r and r[-1] == 0:
+                r.pop()
+        a, b = b, _primitive(r)
+    return tuple(a) if a else (0,)
 
 
 @dataclass(frozen=True)
@@ -321,9 +313,10 @@ def power_growth(M, start, J: int) -> list[tuple[int, int]]:
         raise ValueError("start vector length must match matrix dimension")
     if any(not isinstance(x, int) for x in v):
         raise ValueError("start vector entries must be integers")
+    nonzero = _nonzero_rows(A)
     out = [(0, max(abs(x) for x in v))]
     for j in range(1, J + 1):
-        v = _mat_vec(A, v)
+        v = tuple(sum(w * v[t] for t, w in row) for row in nonzero)
         out.append((j, max(abs(x) for x in v)))
     return out
 

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -50,6 +51,51 @@ def char_poly_oracle(M):
     return tuple(coeffs)
 
 
+def _det_bareiss(rows):
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    a = [list(row) for row in rows]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        pivot, tail = a[k][k], a[k][k + 1:]
+        for i in range(k + 1, n):
+            f = a[i][k]
+            a[i] = [0] * (k + 1) + [(pivot * x - f * y) // prev
+                                    for x, y in zip(a[i][k + 1:], tail)]
+        prev = pivot
+    return sign * a[-1][-1]
+
+
+def _interpolate(ts, ys):
+    """Exact ascending coefficients of the polynomial through (ts, ys)."""
+    coef = [Fraction(y) for y in ys]
+    for j in range(1, len(ts)):                      # Newton divided differences
+        for i in range(len(ts) - 1, j - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) / (ts[i] - ts[i - j])
+    poly = [coef[-1]]
+    for i in range(len(ts) - 2, -1, -1):             # Horner in Newton form
+        poly = [Fraction(0)] + poly
+        for k in range(len(poly) - 1):
+            poly[k] -= ts[i] * poly[k + 1]
+        poly[0] += coef[i]
+    assert all(c.denominator == 1 for c in poly)
+    return tuple(int(c) for c in poly)
+
+
+def char_poly_bareiss_oracle(M):
+    """det(tI - M) at t = 0..n by Bareiss, interpolated to coefficients."""
+    n = len(M)
+    ts = list(range(n + 1))
+    ys = [_det_bareiss([[(t if i == j else 0) - M[i][j] for j in range(n)]
+                        for i in range(n)]) for t in ts]
+    return _interpolate(ts, ys)
+
+
 def _random_matrix(rng, n):
     return tuple(tuple(rng.randrange(-3, 4) for _ in range(n)) for _ in range(n))
 
@@ -86,6 +132,39 @@ def test_char_poly_matches_cofactor_oracle(n):
     for _ in range(8):
         M = _random_matrix(rng, n)
         assert char_poly(M).coeffs == char_poly_oracle(M)
+
+
+def _random_mixed_matrix(rng, n):
+    """Dense rows, zero rows and sparse rows, entries well beyond +-1."""
+    rows = []
+    for _ in range(n):
+        kind = rng.randrange(3)
+        if kind == 0:
+            rows.append(tuple(rng.randrange(-40, 41) for _ in range(n)))
+        elif kind == 1:
+            rows.append((0,) * n)
+        else:
+            row = [0] * n
+            for t in rng.sample(range(n), min(n, 2)):
+                row[t] = rng.choice((-7, -2, -1, 1, 3, 9))
+            rows.append(tuple(row))
+    return tuple(rows)
+
+
+def test_char_poly_matches_bareiss_oracle_random():
+    rng = random.Random(404)
+    for n in (1, 1, 2, 3, 4, 6, 9, 12, 16):
+        for _ in range(3):
+            M = _random_mixed_matrix(rng, n)
+            assert char_poly(M).coeffs == char_poly_bareiss_oracle(M), M
+    assert char_poly(((7,),)).coeffs == (-7, 1)
+    assert char_poly(((0, 0), (0, 0))).coeffs == (0, 0, 1)
+
+
+def test_char_poly_transfer_matches_bareiss_oracle():
+    for q in range(3, 64, 2):
+        M = build_transfer(q).transfer
+        assert char_poly(M).coeffs == char_poly_bareiss_oracle(M), q
 
 
 def _mat_mul(A, B):
@@ -214,6 +293,95 @@ def test_roots_rejects_bad_tol():
 def test_cluster_roots_groups_near_duplicates():
     clusters = cluster_roots([1 + 0j, 1 + 1e-9j, 2 + 0j])
     assert sorted(m for _, m in clusters) == [1, 2]
+
+
+def _poly_divmod(a, b):
+    """Division with remainder for ascending Fraction coefficient lists."""
+    rem = a[:]
+    db = len(b) - 1
+    lead = b[-1]
+    quot = [Fraction(0)] * max(len(a) - db, 1)
+    while len(rem) - 1 >= db and any(rem):
+        while rem and rem[-1] == 0:
+            rem.pop()
+        if len(rem) - 1 < db:
+            break
+        shift = len(rem) - 1 - db
+        factor = rem[-1] / lead
+        quot[shift] = factor
+        for i in range(len(b)):
+            rem[shift + i] -= factor * b[i]
+        rem.pop()
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return quot, rem
+
+
+def fraction_gcd_oracle(a, b):
+    """Euclid over the rationals, scaled to the primitive integer gcd.
+
+    Needs nonzero leading coefficients (b's especially)."""
+    fa = [Fraction(c) for c in a]
+    fb = [Fraction(c) for c in b]
+    while fb and any(fb):
+        _, r = _poly_divmod(fa, fb)
+        fa, fb = fb, r
+    denom = math.lcm(*(f.denominator for f in fa))
+    ints = [int(f * denom) for f in fa]
+    content = math.gcd(*(abs(v) for v in ints))
+    ints = [v // content for v in ints]
+    if ints[-1] < 0:
+        ints = [-v for v in ints]
+    return tuple(ints)
+
+
+def _random_poly(rng, deg):
+    """Degree-deg coefficients in -9..9 with a nonzero leading one."""
+    return ([rng.randrange(-9, 10) for _ in range(deg)]
+            + [rng.choice((-9, -4, -1, 1, 2, 7))])
+
+
+def test_int_poly_gcd_matches_fraction_oracle_planted_factor():
+    rng = random.Random(77)
+    for _ in range(300):
+        g = _random_poly(rng, rng.randrange(0, 5))
+        a = _poly_mul(g, _random_poly(rng, rng.randrange(0, 7)))
+        b = _poly_mul(g, _random_poly(rng, rng.randrange(0, 7)))
+        got = int_poly_gcd(tuple(a), tuple(b))
+        assert got == fraction_gcd_oracle(a, b), (a, b)
+        assert len(got) >= len(g)                       # the planted factor
+        assert got[-1] > 0 and math.gcd(*got) == 1
+
+
+def test_int_poly_gcd_non_primitive_inputs():
+    rng = random.Random(78)
+    for _ in range(100):
+        g = _random_poly(rng, rng.randrange(1, 4))
+        a = [rng.choice((-12, 6, 10)) * c for c in _poly_mul(g, _random_poly(rng, 3))]
+        b = [rng.choice((-4, 15, 30)) * c for c in _poly_mul(g, _random_poly(rng, 2))]
+        got = int_poly_gcd(tuple(a), tuple(b))
+        assert got == fraction_gcd_oracle(a, b), (a, b)
+        assert got == int_poly_gcd(tuple(b), tuple(a))
+
+
+def test_int_poly_gcd_derivatives_of_transfer_polys():
+    # q <= 41: the Fraction oracle alone takes seconds per q beyond
+    for q in range(3, 42, 2):
+        p = char_poly(build_transfer(q).transfer)
+        assert int_poly_gcd(p.coeffs, p.derivative_coeffs()) == \
+            fraction_gcd_oracle(p.coeffs, p.derivative_coeffs()), q
+
+
+def test_int_poly_gcd_zero_and_trailing_zero_inputs():
+    # zero divisor: the primitive, positively led part of the other input
+    assert int_poly_gcd((-3, -12, 36, -36, -15, -9, -12, 0), (0, 0)) == \
+        (1, 4, -12, 12, 5, 3, 4)
+    assert int_poly_gcd((0,), (4, -2)) == (-2, 1)
+    assert int_poly_gcd((0, 0), (0,)) == (0,)
+    assert int_poly_gcd((), ()) == (0,)
+    # trailing zeros on the divisor are not a zero leading coefficient
+    assert int_poly_gcd((-1, 0, 1), (-2, 2, 0)) == (-1, 1)
+    assert int_poly_gcd((6, 0, 0), (-9, 0)) == (1,)
 
 
 def test_int_poly_gcd():
