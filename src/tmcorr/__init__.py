@@ -15,7 +15,7 @@ from .correlation import (CorrelationSystem, build_transfer, corr_fast,
 from .spectral import (MonicIntPolynomial, RootFindingError, SpectralReport,
                        char_poly, cluster_roots, int_poly_gcd,
                        jordan_block_check, power_growth, roots,
-                       spectral_report)
+                       spectral_report, square_free_factors)
 from .expsum import (RationalPhase, ScanResult, expsum_fast, expsum_naive,
                      product_formula, scan_alpha)
 from .counting import (CountTable, count_adjacent, count_classes_fast,
@@ -34,4 +34,5 @@ __all__ = [
     "expsum_fast", "expsum_naive", "fit_exponent", "gelfond_count",
     "int_poly_gcd", "jordan_block_check", "power_growth", "product_formula",
     "roots", "scan_alpha", "shift_vectors", "spectral_report",
+    "square_free_factors",
 ]

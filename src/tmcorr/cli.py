@@ -12,7 +12,7 @@ import sys
 
 from .digitseq import eps, class_of
 from .correlation import corr_naive, build_transfer, shift_vectors
-from .spectral import DEFAULT_SEED, spectral_report
+from .spectral import DEFAULT_SEED, RootFindingError, spectral_report
 from .expsum import RationalPhase, scan_alpha
 from .counting import count_classes_naive, count_tables, count_adjacent
 from .report import SumLadder, emit, fit_exponent, fit_record, round12
@@ -235,7 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eigen", help="transfer-matrix spectrum for odd q")
     p.add_argument("q", type=int)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                   help="root-finder restart seed, used only if the first run fails")
     add_common(p, default_format="json")
     p.set_defaults(func=cmd_eigen)
 
@@ -283,7 +284,7 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         text = args.func(args)
-    except (ValueError, OSError, OverflowError) as exc:
+    except (ValueError, OSError, OverflowError, RootFindingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

@@ -4,12 +4,14 @@ Matrices are plain sequences of equal-length integer rows.  The
 characteristic polynomial is computed exactly by the Faddeev-LeVerrier
 trace recursion over Python integers; each step multiplies through the
 nonzero entries of each row only, so a transfer matrix (two +-1 entries
-per row) costs 2n^2 per step, not n^3.  Roots are found numerically by a
-simultaneous Durand-Kerner iteration started from a perturbed circle, and
-root multiplicities are cross-checked against the exact square-free part
-gcd(p, p'), taken by a primitive pseudo-remainder sequence over the
-integers.  The spectral radius of a correlation transfer matrix predicts
-the growth exponent log2(radius) of the correlation sums.
+per row) costs 2n^2 per step, not n^3.  The polynomial is split exactly
+into square-free factors (Yun's algorithm, with gcds by a primitive
+pseudo-remainder sequence over the integers and exact integer division),
+so root multiplicities are exact.  The simple roots of each factor are
+found numerically by Aberth-Ehrlich iteration (Bini 1996) on float copies
+of its coefficients, and accepted on a backward-error bound.  The spectral
+radius of a correlation transfer matrix predicts the growth exponent
+log2(radius) of the correlation sums.
 """
 
 import cmath
@@ -17,18 +19,22 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby, zip_longest
 
 from .correlation import CorrelationSystem
 
 MAX_DIM = 64
 MAX_POWER_STEPS = 80
 DEFAULT_SEED = 12345
+# a root stops moving once |p(z)| <= this * sum |c_k| |z|**k: about twice
+# the machine epsilon, below which Horner's own rounding decides the value
+FREEZE_BACKWARD_ERROR = 4e-16
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
 
 class RootFindingError(RuntimeError):
-    """Simultaneous iteration failed to meet the residual bound."""
+    """Root finding missed its backward-error bound or a spectral check."""
 
     def __init__(self, message: str, residuals: list[float]):
         super().__init__(f"{message}; residuals={residuals}")
@@ -87,7 +93,7 @@ class MonicIntPolynomial:
         return acc
 
     def derivative_coeffs(self) -> tuple[int, ...]:
-        return tuple(k * c for k, c in enumerate(self.coeffs) if k > 0)
+        return tuple(_derivative(self.coeffs))
 
     def __str__(self) -> str:
         parts = []
@@ -133,52 +139,99 @@ def char_poly(M) -> MonicIntPolynomial:
 
 def roots(p: MonicIntPolynomial, tol: float = 1e-8, max_iterations: int = 500,
           restarts: int = 3, seed: int = DEFAULT_SEED) -> list[complex]:
-    """All complex roots of p by Durand-Kerner simultaneous iteration.
+    """All complex roots of p, each repeated by its exact multiplicity.
 
-    Starts from a perturbed circle of radius given by the Cauchy bound;
-    on stagnation the circle is re-randomized (seeded, reproducible).
-    Accepts when every residual satisfies |p(z)| <= tol * (1+|z|)**deg;
-    conjugate symmetry is enforced on the result (coefficients are real).
-    Raises RootFindingError with the residuals otherwise.
+    p is split into exact square-free factors (square_free_factors); the
+    roots of each factor are found by Aberth-Ehrlich iteration and each is
+    returned m times for a factor of multiplicity m, sorted by (re, im).
+    A factor's iteration starts on the circle of the Fujiwara bound
+    2 max_k |c_{n-k}|**(1/k) and is accepted when every root meets the
+    backward-error bound |p(z)| <= tol * sum |c_k| |z|**k; conjugate
+    symmetry is enforced (coefficients are real).  Only if that fails is
+    the circle re-randomized, from `seed`, up to `restarts` times.  Raises
+    RootFindingError with the backward errors as residuals otherwise, and
+    ValueError for a coefficient beyond float range.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    deg = p.degree
-    if deg == 1:
-        return [complex(-p.coeffs[0])]
+    zs: list[complex] = []
+    for f, m in square_free_factors(p.coeffs):      # monic: no constant factor
+        zs.extend(_factor_roots(f, tol, max_iterations, restarts, seed) * m)
+    return sorted(zs, key=lambda z: (z.real, z.imag))
 
-    cauchy = 1.0 + max(abs(c) for c in p.coeffs[:-1])
+
+def _factor_roots(f: tuple[int, ...], tol: float, max_iterations: int,
+                  restarts: int, seed: int) -> list[complex]:
+    """Roots of one monic square-free factor; see roots."""
+    try:
+        cf = [float(c) for c in f]
+    except OverflowError:
+        raise ValueError("polynomial coefficient beyond float range") from None
+    deg = len(cf) - 1
+    if deg == 1:
+        return [complex(-cf[0])]
+    fujiwara = 2.0 * max(abs(cf[deg - k]) ** (1.0 / k) for k in range(1, deg + 1))
     rng = random.Random(seed)
-    ws: list[complex] = []
     for attempt in range(restarts + 1):
         if attempt == 0:
-            jitter = 0.41
-            radius = 0.95 * cauchy
+            jitter, radius = 0.41, fujiwara
         else:
-            jitter = rng.random()
-            radius = cauchy * (0.5 + rng.random())
-        ws = [radius * cmath.exp(2j * math.pi * (k + jitter) / deg) for k in range(deg)]
-        for _ in range(max_iterations):
-            max_step = 0.0
-            for i in range(deg):
-                denom = 1 + 0j
-                for j in range(deg):
-                    if j != i:
-                        denom *= ws[i] - ws[j]
-                if denom == 0:
-                    denom = complex(1e-30)
-                delta = p(ws[i]) / denom
-                ws[i] -= delta
-                step = abs(delta)
-                if step > max_step:
-                    max_step = step
-            if max_step < 1e-14 * (1.0 + max(abs(w) for w in ws)):
-                break
-        ws = _enforce_conjugate_symmetry(ws)
-        if all(abs(p(w)) <= tol * (1.0 + abs(w)) ** deg for w in ws):
-            return sorted(ws, key=lambda z: (z.real, z.imag))
-    residuals = sorted(abs(p(w)) for w in ws)
-    raise RootFindingError("root iteration did not converge", residuals)
+            jitter, radius = rng.random(), fujiwara * (0.5 + rng.random())
+        zs = [radius * cmath.exp(2j * math.pi * (k + jitter) / deg) for k in range(deg)]
+        _aberth(cf, zs, max_iterations)
+        zs = _enforce_conjugate_symmetry(zs)
+        residuals = [_backward_error(cf, z) for z in zs]
+        if all(r <= tol for r in residuals):
+            return zs
+    raise RootFindingError("root iteration did not converge", sorted(residuals))
+
+
+def _horner(cf: list[float], z: complex) -> tuple[complex, complex, float]:
+    """p(z), p'(z) and sum |c_k| |z|**k from float coefficients (ascending)."""
+    value = slope = 0j
+    scale, r = 0.0, abs(z)
+    for c in reversed(cf):
+        slope = slope * z + value
+        value = value * z + c
+        scale = scale * r + abs(c)
+    return value, slope, scale
+
+
+def _backward_error(cf: list[float], z: complex) -> float:
+    """|p(z)| / sum |c_k| |z|**k; inf when z or p(z) is not finite."""
+    value, _, scale = _horner(cf, z)
+    if not (math.isfinite(scale) and cmath.isfinite(value)):
+        return math.inf
+    return abs(value) / scale if scale else 0.0
+
+
+def _aberth(cf: list[float], zs: list[complex], max_iterations: int) -> None:
+    """Aberth-Ehrlich iteration on the approximations zs, in place.
+
+    Each root is updated with the values already updated in the sweep
+    (Gauss-Seidel); it freezes once its backward error is at rounding
+    level, and the iteration ends when all are frozen.
+    """
+    live = range(len(zs))
+    for _ in range(max_iterations):
+        moving = []
+        for i in live:
+            z = zs[i]
+            value, slope, scale = _horner(cf, z)
+            if abs(value) <= FREEZE_BACKWARD_ERROR * scale:
+                continue
+            sigma = 0j
+            for w in zs:
+                d = z - w
+                if d:                     # d == 0 for zs[i] itself
+                    sigma += 1 / d
+            denom = slope - value * sigma
+            if denom:
+                zs[i] = z - value / denom
+            moving.append(i)
+        if not moving:
+            return
+        live = moving
 
 
 def _enforce_conjugate_symmetry(ws: list[complex]) -> list[complex]:
@@ -266,9 +319,62 @@ def int_poly_gcd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(a) if a else (0,)
 
 
+def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
+    """a / b for integer polynomials (ascending) where b divides a over Z."""
+    a = list(a)
+    db, lead = len(b) - 1, b[-1]
+    quot = [0] * max(len(a) - db, 0)
+    for shift in range(len(quot) - 1, -1, -1):
+        c, rem = divmod(a[shift + db], lead)
+        if rem:
+            raise ArithmeticError("polynomial division is not exact")
+        quot[shift] = c
+        for i in range(db + 1):
+            a[shift + i] -= c * b[i]
+    if any(a):
+        raise ArithmeticError("polynomial division is not exact")
+    while quot and quot[-1] == 0:
+        quot.pop()
+    return quot
+
+
+def _derivative(a) -> list[int]:
+    return [k * c for k, c in enumerate(a)][1:]
+
+
+def square_free_factors(coeffs) -> list[tuple[tuple[int, ...], int]]:
+    """Exact square-free factorization of an integer polynomial (Yun).
+
+    Returns [(f_m, m)] with coeffs == prod f_m**m.  The f_m of degree >= 1
+    are primitive, square-free and pairwise coprime, with a positive
+    leading coefficient (so monic when coeffs is monic), in increasing m;
+    a constant factor other than 1 (content and sign) comes first.  Every
+    gcd is int_poly_gcd and every division is exact over the integers.
+    """
+    f = _primitive(coeffs)
+    if not f:
+        raise ValueError("the zero polynomial has no factorization")
+    unit = next(c for c in reversed(coeffs) if c) // f[-1]
+    factors = [((unit,), 1)] if unit != 1 else []
+    df = _derivative(f)
+    g = list(int_poly_gcd(f, df))
+    b, c = _exact_quotient(f, g), _exact_quotient(df, g)
+    m = 1
+    while len(b) > 1:
+        # b = prod_{j >= m} f_j and d = f_m * sum_{j > m} (j - m) f_j' prod f_l
+        d = [x - y for x, y in zip_longest(c, _derivative(b), fillvalue=0)]
+        a = list(int_poly_gcd(b, d))
+        if len(a) > 1:
+            factors.append((tuple(a), m))
+        b, c = _exact_quotient(b, a), _exact_quotient(d, a)
+        m += 1
+    return factors
+
+
 @dataclass(frozen=True)
 class SpectralReport:
-    """Characteristic polynomial, clustered spectrum, and growth exponent."""
+    """Characteristic polynomial, spectrum with exact multiplicities, and
+    growth exponent."""
 
     poly: MonicIntPolynomial
     roots: tuple[tuple[complex, int], ...]  # (root, algebraic multiplicity)
@@ -280,24 +386,25 @@ def spectral_report(system: CorrelationSystem, tol: float = 1e-8,
                     seed: int = DEFAULT_SEED) -> SpectralReport:
     """Spectrum of the transfer matrix and the exponent log2(spectral radius).
 
-    Multiplicities come from clustering the numerical roots and are
-    cross-checked against deg gcd(p, p'), the exact count of repeated
-    roots; a mismatch raises RootFindingError.
+    The roots come from roots (Aberth-Ehrlich on the exact square-free
+    factors of the characteristic polynomial), which repeats each root of
+    a factor of multiplicity m exactly m times, so the multiplicities are
+    exact.  RootFindingError is raised if two distinct roots cluster
+    (cluster_roots), which means the iteration missed one, or if the radius
+    exceeds the exact Gershgorin bound, the largest row abs-sum.
     """
     p = char_poly(system.transfer)
-    zs = roots(p, tol=tol, seed=seed)
-    clusters = cluster_roots(zs)
-    assert sum(m for _, m in clusters) == p.degree
-    g = int_poly_gcd(p.coeffs, p.derivative_coeffs())
-    repeated = sum(m - 1 for _, m in clusters)
-    if len(g) - 1 != repeated:
-        raise RootFindingError(
-            f"multiplicity mismatch: clustered {repeated} repeated roots, "
-            f"gcd(p, p') has degree {len(g) - 1}",
-            sorted(abs(p(z)) for z, _ in clusters))
-    radius = max(abs(z) for z, _ in clusters)
-    return SpectralReport(poly=p, roots=tuple(clusters), radius=radius,
-                          exponent=math.log2(radius))
+    spectrum = [(z, len(list(copies))) for z, copies in groupby(roots(p, tol=tol, seed=seed))]
+    radius = max(abs(z) for z, _ in spectrum)
+    gershgorin = max(sum(abs(v) for v in row) for row in system.transfer)
+    if len(cluster_roots([z for z, _ in spectrum])) < len(spectrum):
+        problem = "distinct roots cluster"
+    elif radius > gershgorin * (1 + tol):    # slack for the rounding of radius
+        problem = f"radius {radius} exceeds the Gershgorin bound {gershgorin}"
+    else:
+        return SpectralReport(poly=p, roots=tuple(spectrum), radius=radius,
+                              exponent=math.log2(radius))
+    raise RootFindingError(problem, sorted(abs(p(z)) for z, _ in spectrum))
 
 
 def power_growth(M, start, J: int) -> list[tuple[int, int]]:

@@ -100,6 +100,21 @@ def test_eigen_q7_has_growth(capsys):
     assert payload["radius"] > 1
 
 
+def test_eigen_root_finding_error_is_one_error_line(capsys, monkeypatch):
+    import tmcorr.spectral
+    from tmcorr import RootFindingError
+
+    def failing(p, **kwargs):
+        raise RootFindingError("root iteration did not converge", [1e28, 3e99])
+
+    monkeypatch.setattr(tmcorr.spectral, "roots", failing)
+    code, out, err = run_cli(capsys, "eigen", "9", "--seed", "4")
+    assert code == 1
+    assert out == ""
+    assert err == ("error: root iteration did not converge; "
+                   "residuals=[1e+28, 3e+99]\n")
+
+
 def test_eigen_rejects_csv(capsys):
     code, _, err = run_cli(capsys, "eigen", "3", "--format", "csv")
     assert code == 1 and "json" in err

@@ -5,9 +5,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import tmcorr.spectral
 from tmcorr import (MonicIntPolynomial, RootFindingError, build_transfer,
                     char_poly, cluster_roots, int_poly_gcd,
-                    jordan_block_check, power_growth, roots, spectral_report)
+                    jordan_block_check, power_growth, roots, spectral_report,
+                    square_free_factors)
 
 
 # --- independent oracle: cofactor expansion of det(xI - M) -----------------
@@ -252,6 +254,28 @@ def test_roots_residual_bound():
     p = MonicIntPolynomial(coeffs=(2, -5, 4, 0, -2, 1))
     for z in roots(p, tol=1e-8):
         assert abs(p(z)) <= 1e-6 * (1 + abs(z)) ** p.degree
+        # the acceptance bound: backward error against sum |c_k| |z|^k
+        assert abs(p(z)) <= 1e-8 * sum(abs(c) * abs(z) ** k
+                                       for k, c in enumerate(p.coeffs))
+
+
+def test_roots_repeat_each_root_by_its_exact_multiplicity():
+    # (x - 1)^2 (x^3 - x + 2) x^3: the repeated roots come back as exact copies
+    p = MonicIntPolynomial(coeffs=(0, 0, 0, 2, -5, 4, 0, -2, 1))
+    zs = roots(p)
+    assert zs.count(0j) == 3 and zs.count(1 + 0j) == 2 and len(zs) == 8
+    assert all(abs(p(z)) < 1e-12 for z in zs)
+
+
+def test_roots_coefficient_beyond_float_range_is_refused():
+    for coeffs in ((10 ** 400, 0, 1), (-(10 ** 400), 1), (1, 10 ** 400, 3, 1)):
+        with pytest.raises(ValueError):
+            roots(MonicIntPolynomial(coeffs=coeffs))
+    # in range, but Horner overflows near the roots: an error, not inf/nan
+    for coeffs in ((1, 2 ** 1023, 1), (1, 0, 10 ** 308, 1)):
+        with pytest.raises(RootFindingError) as info:
+            roots(MonicIntPolynomial(coeffs=coeffs))
+        assert info.value.residuals
 
 
 def test_roots_conjugate_symmetry():
@@ -384,6 +408,85 @@ def test_int_poly_gcd_zero_and_trailing_zero_inputs():
     assert int_poly_gcd((6, 0, 0), (-9, 0)) == (1,)
 
 
+def _power(a, m):
+    out = [1]
+    for _ in range(m):
+        out = _poly_mul(out, a)
+    return out
+
+
+def _rebuild(factors):
+    out = [1]
+    for f, m in factors:
+        out = _poly_mul(out, _power(list(f), m))
+    return tuple(out)
+
+
+def _is_one(g):
+    return len(g) == 1
+
+
+def _poly_deriv(a):
+    return [k * c for k, c in enumerate(a)][1:]
+
+
+def test_square_free_factors_rebuild_planted_products():
+    rng = random.Random(515)
+    for _ in range(150):
+        planted = [(_random_poly(rng, rng.randrange(1, 4)), rng.randrange(1, 5))
+                   for _ in range(rng.randrange(1, 4))]
+        unit = rng.choice((1, 1, 1, -1, 6, -10))           # content and sign
+        p = _rebuild([((unit,), 1)] + planted)
+        factors = square_free_factors(p)
+        assert _rebuild(factors) == tuple(p), (planted, factors)
+        nonconstant = [(f, m) for f, m in factors if len(f) > 1]
+        assert [m for _, m in nonconstant] == sorted({m for _, m in nonconstant})
+        for i, (f, _) in enumerate(nonconstant):
+            assert f[-1] > 0 and math.gcd(*f) == 1
+            assert _is_one(fraction_gcd_oracle(f, _poly_deriv(f))), f
+            for g, _ in nonconstant[i + 1:]:
+                assert _is_one(fraction_gcd_oracle(f, g)), (f, g)
+        # planted square-free, pairwise coprime g_i: f_m is their product
+        gs = [g for g, _ in planted]
+        if all(_is_one(fraction_gcd_oracle(g, _poly_deriv(g))) for g in gs) and \
+                all(_is_one(fraction_gcd_oracle(g, h))
+                    for i, g in enumerate(gs) for h in gs[i + 1:]):
+            for f, m in nonconstant:
+                want = [1]
+                for g, mg in planted:
+                    if mg == m:
+                        want = _poly_mul(want, g)
+                sign = 1 if want[-1] > 0 else -1
+                content = math.gcd(*want)
+                assert f == tuple(sign * c // content for c in want)
+            assert {m for _, m in nonconstant} == {m for _, m in planted}
+
+
+def test_square_free_factors_powers_of_x_and_x_minus_1():
+    for k in range(1, 9):
+        assert square_free_factors((0,) * k + (1,)) == [((0, 1), k)]
+        assert square_free_factors(tuple(_power([-1, 1], k))) == [((-1, 1), k)]
+        assert square_free_factors(tuple(_power([1, -1], k))) == \
+            ([((-1,), 1)] if k % 2 else []) + [((-1, 1), k)]
+    # x^3 (x - 1)^2 (x^3 - x + 2), and a content of 6
+    p = _poly_mul(_poly_mul(_power([0, 1], 3), _power([-1, 1], 2)), [2, -1, 0, 1])
+    assert square_free_factors(p) == [((2, -1, 0, 1), 1), ((-1, 1), 2), ((0, 1), 3)]
+    assert square_free_factors([6 * c for c in p])[0] == ((6,), 1)
+    assert square_free_factors((5,)) == [((5,), 1)]
+    with pytest.raises(ValueError):
+        square_free_factors((0, 0))
+
+
+def test_square_free_factors_of_transfer_polys():
+    for q in range(3, 64, 2):
+        p = char_poly(build_transfer(q).transfer)
+        factors = square_free_factors(p.coeffs)
+        assert _rebuild(factors) == p.coeffs
+        assert all(f[-1] == 1 for f, _ in factors)
+        repeated = sum((m - 1) * (len(f) - 1) for f, m in factors)
+        assert repeated == len(int_poly_gcd(p.coeffs, p.derivative_coeffs())) - 1
+
+
 def test_int_poly_gcd():
     # gcd((x-1)^2 (x^3-x+2), derivative) = (x-1)
     p = MonicIntPolynomial(coeffs=(2, -5, 4, 0, -2, 1))
@@ -411,6 +514,45 @@ def test_spectral_report_q5():
     double = [m for z, m in rep.roots if abs(z - 1) < 1e-6]
     assert double == [2]
     assert sum(m for _, m in rep.roots) == 5
+
+
+def test_spectral_report_every_odd_q_matches_numpy():
+    for q in range(3, 64, 2):
+        M = build_transfer(q).transfer
+        rep = spectral_report(build_transfer(q))
+        radius = float(max(abs(np.linalg.eigvals(np.array(M, dtype=float)))))
+        assert abs(rep.radius - radius) <= 1e-9, q
+        assert abs(rep.exponent - math.log2(radius)) <= 1e-9, q
+        assert sum(m for _, m in rep.roots) == q
+        assert rep.radius <= 2                    # Gershgorin: two +-1 per row
+    assert abs(spectral_report(build_transfer(53)).exponent - 0.65319) < 1e-5
+
+
+def test_spectral_report_seed_matters_only_on_restart():
+    # the default start converges, so the seed leaves every byte alone
+    for q in (5, 25, 31):
+        want = spectral_report(build_transfer(q))
+        for seed in (7, 648966):
+            assert spectral_report(build_transfer(q), seed=seed) == want
+
+
+def test_spectral_report_rejects_clustered_and_out_of_bound_roots(monkeypatch):
+    true_roots = roots
+    system = build_transfer(5)
+
+    def clustered(p, **kwargs):                   # two distinct roots 1e-9 apart
+        zs = true_roots(p, **kwargs)
+        return sorted(zs + [zs[0] + 1e-9], key=lambda z: (z.real, z.imag))[:-1]
+
+    def scaled(p, **kwargs):                      # radius 3.04 > Gershgorin 2
+        return [2 * z for z in true_roots(p, **kwargs)]
+
+    monkeypatch.setattr(tmcorr.spectral, "roots", clustered)
+    with pytest.raises(RootFindingError, match="distinct roots cluster"):
+        spectral_report(system)
+    monkeypatch.setattr(tmcorr.spectral, "roots", scaled)
+    with pytest.raises(RootFindingError, match="Gershgorin"):
+        spectral_report(system)
 
 
 def test_spectral_report_deterministic():
