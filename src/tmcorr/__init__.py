@@ -18,8 +18,8 @@ from .spectral import (MonicIntPolynomial, RootFindingError, SpectralReport,
                        spectral_report, square_free_factors)
 from .expsum import (RationalPhase, ScanResult, expsum_fast, expsum_naive,
                      product_formula, scan_alpha)
-from .counting import (CountTable, count_adjacent, count_classes_fast,
-                       count_classes_naive, count_tables)
+from .counting import (CountTable, count_adjacent, count_adjacent_fast,
+                       count_classes_fast, count_classes_naive, count_tables)
 from .report import ExponentFit, SumLadder, emit, fit_exponent
 
 __version__ = "0.1.0"
@@ -29,10 +29,10 @@ __all__ = [
     "NAIVE_LIMIT", "RationalPhase", "RootFindingError", "ScanResult",
     "SpectralReport", "SumLadder", "build_transfer", "char_poly", "class_of",
     "cluster_roots", "corr_fast", "corr_naive", "count_adjacent",
-    "count_classes_fast", "count_classes_naive", "count_tables",
-    "dilation_naive", "dilation_sum", "emit", "eps", "eps_partial_sum",
-    "expsum_fast", "expsum_naive", "fit_exponent", "gelfond_count",
-    "int_poly_gcd", "jordan_block_check", "power_growth", "product_formula",
-    "roots", "scan_alpha", "shift_vectors", "spectral_report",
-    "square_free_factors",
+    "count_adjacent_fast", "count_classes_fast", "count_classes_naive",
+    "count_tables", "dilation_naive", "dilation_sum", "emit", "eps",
+    "eps_partial_sum", "expsum_fast", "expsum_naive", "fit_exponent",
+    "gelfond_count", "int_poly_gcd", "jordan_block_check", "power_growth",
+    "product_formula", "roots", "scan_alpha", "shift_vectors",
+    "spectral_report", "square_free_factors",
 ]

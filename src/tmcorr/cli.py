@@ -14,7 +14,7 @@ from .digitseq import eps, class_of
 from .correlation import corr_naive, build_transfer, shift_vectors
 from .spectral import DEFAULT_SEED, RootFindingError, spectral_report
 from .expsum import RationalPhase, scan_alpha
-from .counting import count_classes_naive, count_tables, count_adjacent
+from .counting import count_classes_naive, count_tables, count_adjacent_fast
 from .report import SumLadder, emit, fit_exponent, fit_record, round12
 
 NAIVE_CHECK_LIMIT = 10**5
@@ -159,11 +159,14 @@ def cmd_adjacent(args) -> str:
     rows = []
     worst_by_X: dict[int, float] = {}
     for X in ladder:
-        F = count_adjacent(X)
+        F = count_adjacent_fast(X)
         for i in (0, 1):
             for k in (0, 1):
-                main = X / 6 if i == k else X / 3
-                dev = F[i][k] - main
+                # exact deviation in sixths/thirds; F - X/d in floats
+                # loses digits from about 2^15 and all of them by 2^60
+                d = 6 if i == k else 3
+                main = X / d
+                dev = (d * F[i][k] - X) / d
                 rows.append({"X": X, "i": i, "k": k, "count": F[i][k],
                              "main": round12(main), "deviation": round12(dev)})
                 worst_by_X[X] = max(worst_by_X.get(X, 0.0), abs(dev))

@@ -161,6 +161,12 @@ def test_adjacent_example(capsys):
     assert counts == [1, 2, 2, 2]
 
 
+def test_adjacent_past_double_range_is_one_error_line(capsys):
+    code, out, err = run_cli(capsys, "adjacent", "2^1100")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_scan_example(capsys):
     code, out, _ = run_cli(capsys, "scan", "2^16", "3")
     assert code == 0

@@ -1,9 +1,10 @@
 import random
 
+import numpy as np
 import pytest
 
-from tmcorr import (NAIVE_LIMIT, count_adjacent, count_classes_fast,
-                    count_classes_naive, count_tables)
+from tmcorr import (NAIVE_LIMIT, count_adjacent, count_adjacent_fast,
+                    count_classes_fast, count_classes_naive, count_tables)
 
 
 def test_naive_example():
@@ -119,3 +120,45 @@ def test_adjacent_off_diagonal_dominance():
     F = count_adjacent(X)
     for i, k in ((0, 1), (1, 0)):
         assert 1.8 <= F[i][k] / F[i][i] <= 2.2
+
+
+def test_adjacent_fast_equals_loop_below_3000():
+    for X in range(3000):
+        assert count_adjacent_fast(X) == count_adjacent(X), X
+
+
+def test_adjacent_fast_equals_brute_force_at_random_X(eps_1m):
+    # running F[i][k] for every X <= 10^6 from the independent sign table:
+    # pair m = n - 1, n = 2..X gets code 2 class(n) + class(m)
+    cls = (1 - eps_1m) // 2
+    code = 2 * cls[2:] + cls[1:-1]
+    running = np.cumsum(np.eye(4, dtype=np.int64)[code], axis=0)
+    xs = random.Random(1061).sample(range(2, 10**6), 200)
+    for X in xs:
+        c = running[X - 2]
+        assert count_adjacent_fast(X) == ((c[0], c[1]), (c[2], c[3])), X
+    for X in xs[:10]:
+        assert count_adjacent_fast(X) == count_adjacent(X), X
+
+
+def test_adjacent_fast_partition_and_domain():
+    rng = random.Random(61)
+    for X in [0, 1, 2, 10**7 + 1, 2**64] + [rng.getrandbits(rng.randint(1, 4096))
+                                             for _ in range(50)]:
+        assert sum(map(sum, count_adjacent_fast(X))) == max(X - 1, 0)
+    with pytest.raises(ValueError):
+        count_adjacent_fast(-1)
+
+
+@pytest.mark.parametrize("e, expected", [(20, ((-4, -1), (-1, 2))),
+                                         (60, ((-4, -1), (-1, 2))),
+                                         (61, ((-2, -2), (-2, 4))),
+                                         (200, ((-4, -1), (-1, 2))),
+                                         (4096, ((-4, -1), (-1, 2)))])
+def test_adjacent_fast_exact_deviations(e, expected):
+    # [[6 F00 - X, 3 F01 - X], [3 F10 - X, 6 F11 - X]]: bounded, so the
+    # main terms X/6 (diagonal) and X/3 (off it) hold to O(1)
+    X = 2 ** e
+    F = count_adjacent_fast(X)
+    assert tuple(tuple((6 if i == k else 3) * F[i][k] - X for k in (0, 1))
+                 for i in (0, 1)) == expected

@@ -5,9 +5,9 @@ Each case runs the CLI in-process and compares stdout with
 `corr` and `count` ladders reaching 2^256, single raw points, both
 formats, `--naive-check`, `--extension`, scans at a power of two and at a
 random 180-bit X, `eps`, `eigen` spectra, `adjacent` tables with and
-without a deviation fit, and `fit` over the committed `corr`/`count`
-CSVs, so any change to the engines or the serializer behind the CLI must
-keep every byte.
+without a deviation fit and up to 2^64, and `fit` over the committed
+`corr`/`count` CSVs, so any change to the engines or the serializer behind
+the CLI must keep every byte.
 
 After an intended output change, rewrite the files with
 
@@ -58,6 +58,8 @@ CASES = {
     "adjacent_fit_json": ["adjacent", "2^8..2^14:2", "--format", "json"],
     "adjacent_two_csv": ["adjacent", "2^10..2^12:2"],
     "adjacent_two_json": ["adjacent", "2^10..2^12:2", "--format", "json"],
+    "adjacent_2_64_csv": ["adjacent", "2^16..2^64:8"],
+    "adjacent_2_64_json": ["adjacent", "2^16..2^64:8", "--format", "json"],
     "fit_corr_csv": ["fit", str(GOLDEN_DIR / "corr_all_csv.txt"), "--format", "csv"],
     "fit_corr_json": ["fit", str(GOLDEN_DIR / "corr_all_csv.txt")],
     "fit_count_csv": ["fit", str(GOLDEN_DIR / "count_all_csv.txt"), "--format", "csv"],
