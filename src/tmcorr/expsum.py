@@ -49,18 +49,17 @@ def expsum_naive(alpha: RationalPhase, X: int) -> complex:
     """Direct left-to-right evaluation of f(X, alpha); guarded O(X) loop.
 
     The phase of term n is the exact root of unity e^{2 pi i (p n mod q)/q},
-    tracked by integer steps, so there is no accumulated angle drift.
+    from integers, so there is no accumulated angle drift; it is computed once
+    for each of the min(X, q) residues n mod q the loop visits.
     """
     if X < 0:
         raise ValueError("X must be nonnegative")
     check_naive_limit(X)
     q = alpha.q
-    table = [cmath.exp(1j * _TWO_PI * k / q) for k in range(q)]
+    table = [cmath.exp(1j * _TWO_PI * (alpha.p * n % q) / q) for n in range(min(X, q))]
     total = 0j
-    idx = 0
     for n in range(X):
-        total += eps(n) * table[idx]
-        idx = (idx + alpha.p) % q
+        total += eps(n) * table[n % q]
     return total
 
 
@@ -68,33 +67,42 @@ def expsum_fast(alpha: RationalPhase, X: int) -> complex:
     """f(X, alpha) by ceil/floor halving; O(log X) complex operations.
 
     Recursion: f(Y) at phase a equals f(ceil(Y/2)) - e(a) * f(floor(Y/2)),
-    both at phase 2a; bases f(0) = 0, f(1) = 1.  The sizes at depth k are
-    floor(X/2^k) and ceil(X/2^k), so a loop climbs from the depth where both
-    are <= 1 back to X, keeping the values at those two sizes only; there is
-    no recursion and no limit on X.  Raises ValueError when the result is
-    not finite: |f| can grow like X^0.79 (at alpha = 1/3), which leaves
+    both at phase 2a; bases f(0) = 0, f(1) = 1.  A loop climbs the sizes of
+    `_schedule(X)`, keeping the values at two sizes per level; there is no
+    recursion and no limit on X.  Raises ValueError when the result is not
+    finite: |f| can grow like X^0.79 (at alpha = 1/3), which leaves
     double precision near X = 2^1293.
     """
+    sizes, p, q = _schedule(X), alpha.p, alpha.q
+    es = [RationalPhase(p * pow(2, k, q), q).cis() for k in range(len(sizes) - 2, -1, -1)]
+    return _finite(_halve(sizes, es), p, q, X)
+
+
+def _schedule(X: int) -> list:
+    """Sizes (floor(X/2^k), ceil(X/2^k)) from the first k where both are <= 1
+    down to k = 0; the halves of a size are the two sizes one level deeper."""
     if X < 0:
         raise ValueError("X must be nonnegative")
-    phases = []
-    ph = alpha
-    while -(-X >> len(phases)) > 1:
-        phases.append(ph)
-        ph = ph.double()
-    # sizes floor(X/2^k) and ceil(X/2^k) from the deepest level up; their
-    # halves are the two sizes one level down, picked by parity
-    lo, hi = X >> len(phases), -(-X >> len(phases))
-    f_lo, f_hi = _BASE[lo], _BASE[hi]
-    for k in range(len(phases) - 1, -1, -1):
-        e = phases[k].cis()
-        lo, hi = X >> k, -(-X >> k)
+    depth = (X - 1).bit_length() if X else 0
+    return [(X >> k, -(-X >> k)) for k in range(depth, -1, -1)]
+
+
+def _halve(sizes: list, es) -> complex:
+    """f at the last of `sizes`, climbing from the first; es holds e(2^k alpha)
+    for each later level k, in the same order."""
+    f_lo, f_hi = _BASE[sizes[0][0]], _BASE[sizes[0][1]]
+    for (lo, hi), e in zip(sizes[1:], es):
         f_lo, f_hi = (_BASE[lo] if lo <= 1 else (f_hi if lo & 1 else f_lo) - e * f_lo,
                       _BASE[hi] if hi <= 1 else f_hi - e * (f_lo if hi & 1 else f_hi))
-    if not cmath.isfinite(f_hi):
+    return f_hi
+
+
+def _finite(f: complex, p: int, q: int, X: int) -> complex:
+    if not cmath.isfinite(f):
+        alpha = RationalPhase(p, q)
         raise ValueError(f"exponential sum at phase {alpha.p}/{alpha.q} is not finite "
                          f"in double precision (X has {X.bit_length()} bits)")
-    return f_hi
+    return f
 
 
 def product_formula(alpha: RationalPhase, k: int) -> complex:
@@ -124,12 +132,14 @@ def scan_alpha(X: int, grid: int) -> ScanResult:
     """Deterministic phase scan; ties keep the lowest numerator p."""
     if grid < 2:
         raise ValueError("grid must be >= 2")
-    if X < 0:
-        raise ValueError("X must be nonnegative")
-    best_mod = -1.0
-    best_p = 1
+    sizes = _schedule(X)
+    # e(j/grid) once per residue j, from the reduced fraction as RationalPhase.cis
+    # does; the level-k phase of p/grid is the residue p 2^k mod grid
+    cis = [RationalPhase(j, grid).cis() for j in range(grid)]
+    twos = [pow(2, k, grid) for k in range(len(sizes) - 2, -1, -1)]
+    best_mod, best_p = -1.0, 1
     for p in range(1, grid):
-        mod = abs(expsum_fast(RationalPhase(p, grid), X))
+        mod = abs(_finite(_halve(sizes, [cis[p * t % grid] for t in twos]), p, grid, X))
         if mod > best_mod:
             best_mod, best_p = mod, p
     return ScanResult(X=X, grid=grid, max_modulus=best_mod, argmax_p=best_p)

@@ -307,6 +307,9 @@ def test_c10_fast_paths_meet_latency_budget():
     best_count = min(_time_once(count_classes_fast, 5, 3, X) for _ in range(7))
     assert best_corr < 0.010, f"corr_fast took {best_corr * 1000:.2f} ms"
     assert best_count < 0.010, f"count_classes_fast took {best_count * 1000:.2f} ms"
+    # grid x bitlen(X) = 20,000 halving steps over one table of 1000 roots
+    best_scan = min(_time_once(scan_alpha, 2 ** 20, 1000) for _ in range(5))
+    assert best_scan < 0.025, f"scan_alpha took {best_scan * 1000:.2f} ms"
 
     for naive_call in (lambda: corr_naive(3, 0, NAIVE_LIMIT + 1),
                        lambda: dilation_naive(3, 0, NAIVE_LIMIT + 1),
@@ -316,6 +319,7 @@ def test_c10_fast_paths_meet_latency_budget():
             naive_call()
     _announce("C10", f"corr_fast {best_corr * 1e3:.2f} ms, "
                      f"count_classes_fast {best_count * 1e3:.2f} ms at X=2^40; "
+                     f"scan_alpha {best_scan * 1e3:.2f} ms at 2^20, grid 1000; "
                      "naive paths guarded")
 
 

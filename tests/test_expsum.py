@@ -1,10 +1,12 @@
 import cmath
 import math
+import random
 
 import pytest
 
-from tmcorr import (RationalPhase, expsum_fast, expsum_naive, product_formula,
-                    scan_alpha)
+from tmcorr import (RationalPhase, ScanResult, expsum_fast, expsum_naive,
+                    product_formula, scan_alpha)
+from tmcorr.digitseq import eps
 from tmcorr.expsum import NAIVE_LIMIT
 
 
@@ -42,6 +44,15 @@ def test_naive_guard():
         expsum_naive(RationalPhase(1, 3), NAIVE_LIMIT + 1)
     with pytest.raises(ValueError):
         expsum_naive(RationalPhase(1, 3), -1)
+
+
+def test_naive_huge_denominator_is_direct_sum():
+    # only the residues the loop visits get a root of unity, so q = 10^30
+    # costs X terms, not a table of q entries
+    q = 10 ** 30
+    for p in (1, 7 * 10 ** 29 + 3, 123456789012345678901234567891):
+        direct = sum(eps(n) * cmath.exp(2j * math.pi * (p * n % q) / q) for n in range(50))
+        assert abs(expsum_naive(RationalPhase(p, q), 50) - direct) < 1e-12
 
 
 def test_fast_equals_naive_dense_small():
@@ -108,3 +119,48 @@ def test_scan_examples():
 def test_scan_validation():
     with pytest.raises(ValueError):
         scan_alpha(16, 1)
+
+
+def _scan_reference(X: int, grid: int) -> ScanResult:
+    """max_p |expsum_fast(p/grid, X)| over p = 1..grid-1, lowest p on ties."""
+    best_mod, best_p = -1.0, 1
+    for p in range(1, grid):
+        mod = abs(expsum_fast(RationalPhase(p, grid), X))
+        if mod > best_mod:
+            best_mod, best_p = mod, p
+    return ScanResult(X=X, grid=grid, max_modulus=best_mod, argmax_p=best_p)
+
+
+_rng = random.Random(20261018)
+SCAN_GRIDS = (2, 3, 7, 12, 64, 360, _rng.randint(13, 99))
+# 2^0..2^1200, then 300 random X up to 1200 bits.  The reference costs
+# grid x bitlen(X) expsum_fast levels, so each grid checks every (4 grid)-th.
+DEEP_X = ([2 ** k for k in range(1201)]
+          + [_rng.getrandbits(_rng.randint(1, 1200)) for _ in range(300)])
+
+
+@pytest.mark.parametrize("grid", SCAN_GRIDS)
+def test_scan_equals_max_of_expsum_fast(grid):
+    # exact equality: the scan's root-of-unity table must give the very
+    # floats that expsum_fast gets from each reduced phase
+    for X in list(range(301)) + DEEP_X[::4 * grid]:
+        assert scan_alpha(X, grid) == _scan_reference(X, grid), (X, grid)
+
+
+def test_scan_not_finite_names_lowest_failing_phase():
+    # messages as the per-phase loop raised them; at grid 15 phases 1/15..4/15
+    # stay finite and 5/15 = 1/3 is the first to overflow
+    for grid, phase in ((6, "1/6"), (15, "1/3")):
+        with pytest.raises(ValueError) as err:
+            scan_alpha(2 ** 1300, grid)
+        assert str(err.value) == (f"exponential sum at phase {phase} is not finite "
+                                  "in double precision (X has 1301 bits)")
+
+
+def test_fast_hundred_digit_denominator_matches_naive():
+    rng = random.Random(1300)
+    q = 10 ** 99 + 289
+    phases = [RationalPhase(1, q), RationalPhase(rng.randrange(q), q)]
+    for X in list(range(40)) + [rng.randint(40, 2000) for _ in range(30)] + [2000]:
+        for ph in phases:
+            assert abs(expsum_fast(ph, X) - expsum_naive(ph, X)) <= 1e-8 * max(X, 1), X

@@ -3,8 +3,8 @@
 Each case runs the CLI in-process and compares stdout with
 ``tests/golden/<name>.txt`` byte for byte.  The files pin the output of
 `corr` and `count` ladders reaching 2^256, single raw points, both
-formats, `--naive-check`, `--extension`, scans at a power of two and at a
-random 180-bit X, `eps`, `eigen` spectra, `adjacent` tables with and
+formats, `--naive-check`, `--extension`, scans at a power of two, at a
+random 180-bit X, at a fixed 1000-bit X and over a 1000-point grid, `eps`, `eigen` spectra, `adjacent` tables with and
 without a deviation fit and up to 2^64, and `fit` over the committed
 `corr`/`count` CSVs, so any change to the engines or the serializer behind
 the CLI must keep every byte.
@@ -24,6 +24,11 @@ from tmcorr.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 X180 = 969185484185812792720387683606630142986788310967182944   # 180 bits
+X1000 = int("89588467319516707039314649057912049227601133260073474049371231841641"
+            "13213635104594899821541668039167230046661948359764253573677666709121"
+            "89820809004184519762577363750733280927083737368205811088386788195485"
+            "59836566447076722895482611198438531752407373202345826951094685419784"
+            "03316874695222000807187634252")   # 1000 bits
 
 CASES = {
     "corr_all_csv": ["corr", "3", "all", "2^10..2^20"],
@@ -48,6 +53,8 @@ CASES = {
     "scan_pow2_json": ["scan", "2^30", "12", "--format", "json"],
     "scan_random_csv": ["scan", str(X180), "31"],
     "scan_random_json": ["scan", str(X180), "17", "--format", "json"],
+    "scan_wide_grid_json": ["scan", "2^20", "1000", "--format", "json"],
+    "scan_deep_x_csv": ["scan", str(X1000), "7"],
     "eps": ["eps", str(X180)],
     "eigen_q3": ["eigen", "3"],
     "eigen_q5": ["eigen", "5"],
