@@ -8,15 +8,16 @@ For odd q and shift 0 <= r < q:
 Both have direct O(X) evaluations and one exact halving engine.  Splitting
 n into even and odd halves the range and maps the shift s to s//2 (even
 part) and (q+s)//2 (odd part), with a sign flip for odd s; the correlation
-adds the two halves and the dilation subtracts the odd one.  That index
-table (``shift_rows``) is also the q x q transfer matrix of
-``build_transfer``.  The only range sizes that occur are floor(X/2^k) and
-floor(X/2^k) - 1, so the engine reads the bits of X from the top and keeps
-the vectors over all q shifts at those two sizes: O(q log X) integer
-steps, no recursion and no size limit on X.  Carrying the n = 0 term and
-the exact sizes makes it agree with the direct loop to the last integer.
+adds the two halves and the dilation subtracts the odd one.  That signed
+table (``shift_rows``) is the transfer matrix of ``build_transfer``; one
+engine step is one pass over its rows.  The sizes floor(X/2^k) and
+floor(X/2^k) - 1 are the only ones that occur, so the engine reads the
+bits of X from the top with the vectors of all q shifts at those two
+sizes: O(q log X) integer steps for any X, equal to the direct loop to
+the last integer, and a batch of X walks each shared bit prefix once.
 """
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .digitseq import NAIVE_LIMIT, check_naive_limit, eps   # NAIVE_LIMIT: re-exported
@@ -65,32 +66,32 @@ def _prefixed_vectors(q: int, xs, dilation: bool) -> dict[int, list[int]]:
     w_s(n) = eps(n) eps(qn+s), or eps(qn+s) for the dilation.  With F(Y)
     the vector at size Y, the state at a bit prefix h of X is the pair
     (F(h), F(h-1)), starting from F(0) = eps(s) and F(-1) = 0; appending
-    bit c gives the state at 2h+c, the halves of 2h+c and 2h+c-1 being h
-    or h-1.  X values are walked in the order of their bit strings, so a
-    prefix shared by several X (a halving chain such as a ladder 2^a..2^b,
-    or a run of consecutive X) is walked once; only the states at depths
-    where a later X branches off are kept.
+    bit c gives the state at 2h+c from the signed rows (g, a, b), the halves
+    of 2h+c and 2h+c-1 being h or h-1.  X values are walked in the order of
+    their bit strings, so a prefix shared by several X (a ladder 2^a..2^b,
+    a run of consecutive X) is walked once: each X is walked in slices
+    between the depths where a later X branches off, and a state is kept
+    only at a slice end.  A single X is one slice.
     """
-    pairs = [(a, b) for _, a, b in shift_rows(q)]   # the sign is -1 at odd s
+    rows = shift_rows(q)
     paths = sorted((bin(X)[2:] if X else "", X) for X in set(xs))
     starts = [0] + [_common_prefix(u, v) for (_, u), (_, v) in zip(paths, paths[1:])]
-    branch = set(starts)
-    stack = [(0, [eps(s) for s in range(q)], [0] * q)]   # (depth, F(h), F(h-1))
+    cuts = sorted(set(starts[1:]))   # depths where a later X branches off
+    states = {0: ([eps(s) for s in range(q)], [0] * q)}   # depth -> (F(h), F(h-1))
     out = {}
     for (bits, X), depth in zip(paths, starts):
-        while stack[-1][0] > depth:
-            stack.pop()
-        _, V, W = stack[-1]
-        for i in range(depth, len(bits)):
-            M = V if bits[i] == "1" else W
-            if dilation:
-                V, W = [V[a] - M[b] for a, b in pairs], [M[a] - W[b] for a, b in pairs]
-            else:
-                V, W = [V[a] + M[b] for a, b in pairs], [M[a] + W[b] for a, b in pairs]
-            V[1::2] = [-v for v in V[1::2]]
-            W[1::2] = [-v for v in W[1::2]]
-            if i + 1 in branch:
-                stack.append((i + 1, V, W))
+        V, W = states[depth]
+        for end in cuts[bisect_right(cuts, depth):bisect_left(cuts, len(bits))] + [len(bits)]:
+            for c in bits[depth:end]:
+                M = V if c == "1" else W
+                if dilation:
+                    V, W = ([V[a] - M[b] if g > 0 else M[b] - V[a] for g, a, b in rows],
+                            [M[a] - W[b] if g > 0 else W[b] - M[a] for g, a, b in rows])
+                else:
+                    V, W = ([V[a] + M[b] if g > 0 else -V[a] - M[b] for g, a, b in rows],
+                            [M[a] + W[b] if g > 0 else -M[a] - W[b] for g, a, b in rows])
+            states[end] = V, W
+            depth = end
         out[X] = V
     return out
 

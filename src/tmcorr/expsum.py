@@ -17,6 +17,12 @@ _TWO_PI = 2.0 * math.pi
 _BASE = (0j, 1 + 0j)   # f(0), f(1)
 
 
+def _cis(p: int, q: int) -> complex:
+    """e^{2 pi i p/q} from the reduced p/q mod 1: equal phases, equal floats."""
+    g = math.gcd(p, q)
+    return cmath.exp(1j * _TWO_PI * (p % q // g) / (q // g))
+
+
 @dataclass(frozen=True)
 class RationalPhase:
     """Phase p/q reduced mod 1; 0 <= p < q and gcd(p, q) = 1."""
@@ -27,9 +33,8 @@ class RationalPhase:
     def __post_init__(self):
         if self.q < 1:
             raise ValueError("denominator must be positive")
-        p = self.p % self.q
-        g = math.gcd(p, self.q)
-        object.__setattr__(self, "p", p // g)
+        g = math.gcd(self.p, self.q)
+        object.__setattr__(self, "p", self.p % self.q // g)
         object.__setattr__(self, "q", self.q // g)
 
     def double(self) -> "RationalPhase":
@@ -38,11 +43,7 @@ class RationalPhase:
 
     def cis(self) -> complex:
         """e^{2 pi i p/q}."""
-        return cmath.exp(1j * _TWO_PI * self.p / self.q)
-
-    @property
-    def value(self) -> float:
-        return self.p / self.q
+        return _cis(self.p, self.q)
 
 
 def expsum_naive(alpha: RationalPhase, X: int) -> complex:
@@ -74,7 +75,7 @@ def expsum_fast(alpha: RationalPhase, X: int) -> complex:
     double precision near X = 2^1293.
     """
     sizes, p, q = _schedule(X), alpha.p, alpha.q
-    es = [RationalPhase(p * pow(2, k, q), q).cis() for k in range(len(sizes) - 2, -1, -1)]
+    es = [_cis(p * pow(2, k, q), q) for k in range(len(sizes) - 2, -1, -1)]
     return _finite(_halve(sizes, es), p, q, X)
 
 
@@ -111,10 +112,8 @@ def product_formula(alpha: RationalPhase, k: int) -> complex:
     if not 0 <= k <= MAX_PRODUCT_LEVELS:
         raise ValueError(f"k must lie in 0..{MAX_PRODUCT_LEVELS}")
     result = 1 + 0j
-    ph = alpha
-    for _ in range(k):
-        result *= 1 - ph.cis()
-        ph = ph.double()
+    for j in range(k):
+        result *= 1 - _cis(alpha.p * pow(2, j, alpha.q), alpha.q)
     return result
 
 
@@ -133,9 +132,9 @@ def scan_alpha(X: int, grid: int) -> ScanResult:
     if grid < 2:
         raise ValueError("grid must be >= 2")
     sizes = _schedule(X)
-    # e(j/grid) once per residue j, from the reduced fraction as RationalPhase.cis
-    # does; the level-k phase of p/grid is the residue p 2^k mod grid
-    cis = [RationalPhase(j, grid).cis() for j in range(grid)]
+    # e(j/grid) once per residue j; the level-k phase of p/grid is the
+    # residue p 2^k mod grid
+    cis = [_cis(j, grid) for j in range(grid)]
     twos = [pow(2, k, grid) for k in range(len(sizes) - 2, -1, -1)]
     best_mod, best_p = -1.0, 1
     for p in range(1, grid):

@@ -88,6 +88,31 @@ def test_shared_memo_is_pure():
     assert a == b == corr_fast(5, 2, 99991)
 
 
+BATCHES = (
+    [2, 5, 10, 11, 21, 43],                        # each bit string a prefix of the next
+    [43, 11, 0, 21, 2, 1, 43, 5, 0, 10, 1, 11],    # unsorted, duplicated, with 0 and 1
+    [2 ** a for a in range(6, 13)] + list(range(60, 68)) + [128, 127, 129],  # ladder + runs
+    # deep X; the first two bit strings in sorted order diverge
+    [2 ** 200 + 1, 2 ** 200, 2 ** 200 - 1, 3 ** 70, 3 << 99, 300, 301, 3 << 99],
+)
+
+
+@pytest.mark.parametrize("xs", BATCHES, ids=["chain", "unsorted", "ladder_run", "deep"])
+def test_batch_equals_single_x_and_direct(xs):
+    # the batch walk shares bit prefixes and keeps states only where a later
+    # X branches off; none of that bookkeeping may change a single value
+    for q in range(1, 64, 2):
+        for dilation, fn, naive in ((False, corr_fast, corr_naive),
+                                    (True, dilation_sum, dilation_naive)):
+            batch = shift_vectors(q, xs, dilation)
+            assert sorted(batch) == sorted(set(xs))
+            for X in set(xs):
+                assert batch[X] == shift_vectors(q, [X], dilation)[X], (q, X, dilation)
+                assert batch[X][X % q] == fn(q, X % q, X)
+                if X <= 2000:
+                    assert batch[X] == [naive(q, r, X) for r in range(q)], (q, X, dilation)
+
+
 def test_transfer_q3_matches_recursion_coefficients():
     system = build_transfer(3)
     assert system.q == 3
@@ -126,7 +151,7 @@ def test_transfer_rejects_bad_q():
         build_transfer(1)
 
 
-@pytest.mark.parametrize("q", [3, 5, 7])
+@pytest.mark.parametrize("q", range(3, 64, 2))
 def test_coefficient_duality(q):
     """Pairing a coefficient vector with the prefixed correlations commutes
     with one halving step through the transpose of the transfer matrix,
