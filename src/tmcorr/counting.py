@@ -22,45 +22,33 @@ from .correlation import corr_fast, dilation_sum, shift_vectors
 
 @dataclass(frozen=True)
 class CountTable:
-    """2x2 table of class-pair counts with quarter-scaled deviations.
+    """2x2 table of class-pair counts for n - q*m = r over 1 <= m <= X.
 
-    deviations4[i][k] = 4*cells[i][k] - X, i.e. the deviation from the
-    main term X/4 in exact quarter units.
+    Only the cells are stored.  The deviation from the main term X/4 is
+    derived from them: deviations4[i][k] = 4*cells[i][k] - X in exact
+    quarter units, and deviation(i, k) is the same divided by 4.
     """
 
     q: int
     r: int
     X: int
     cells: tuple[tuple[int, int], tuple[int, int]]
-    deviations4: tuple[tuple[int, int], tuple[int, int]]
 
     def __post_init__(self):
         total = sum(map(sum, self.cells))
         if total != self.X:
             raise ValueError(f"cells sum to {total}, expected X={self.X}")
 
+    @property
+    def deviations4(self) -> tuple[tuple[int, int], tuple[int, int]]:
+        return tuple(tuple(4 * c - self.X for c in row) for row in self.cells)
+
     def deviation(self, i: int, k: int) -> float:
         """cells[i][k] - X/4; exact (quarters are representable)."""
-        return self.deviations4[i][k] / 4
+        return (4 * self.cells[i][k] - self.X) / 4
 
     def max_abs_deviation(self) -> float:
         return max(abs(v) for row in self.deviations4 for v in row) / 4
-
-
-def _validate(q: int, r: int, X: int, extension: bool) -> None:
-    if q < 1 or q % 2 == 0:
-        raise ValueError("multiplier must be odd")
-    if r < 0 or (not extension and r >= q):
-        raise ValueError(f"shift must satisfy 0 <= r < q, got r={r} q={q} "
-                         "(pass extension=True to explore r >= q)")
-    if X < 0:
-        raise ValueError("X must be nonnegative")
-
-
-def _table(q: int, r: int, X: int, cells) -> CountTable:
-    dev4 = tuple(tuple(4 * cells[i][k] - X for k in (0, 1)) for i in (0, 1))
-    frozen = tuple(tuple(cells[i][k] for k in (0, 1)) for i in (0, 1))
-    return CountTable(q=q, r=r, X=X, cells=frozen, deviations4=dev4)
 
 
 def count_classes_naive(q: int, r: int, X: int, extension: bool = False) -> CountTable:
@@ -69,12 +57,18 @@ def count_classes_naive(q: int, r: int, X: int, extension: bool = False) -> Coun
     extension=True lifts the r < q restriction (exploratory; no main-term
     claim is attached to such shifts).
     """
-    _validate(q, r, X, extension)
+    if q < 1 or q % 2 == 0:
+        raise ValueError("multiplier must be odd")
+    if r < 0 or (not extension and r >= q):
+        raise ValueError(f"shift must satisfy 0 <= r < q, got r={r} q={q} "
+                         "(pass extension=True to explore r >= q)")
+    if X < 0:
+        raise ValueError("X must be nonnegative")
     check_naive_limit(X)
     cells = [[0, 0], [0, 0]]
     for m in range(1, X + 1):
         cells[class_of(m)][class_of(q * m + r)] += 1
-    return _table(q, r, X, cells)
+    return CountTable(q, r, X, (tuple(cells[0]), tuple(cells[1])))
 
 
 def _four_term_table(q: int, r: int, X: int, P: int, U: int, S: int) -> CountTable:
@@ -83,16 +77,13 @@ def _four_term_table(q: int, r: int, X: int, P: int, U: int, S: int) -> CountTab
     f10, f11 = X - P + U - S, X - P - U + S
     assert not (f00 % 4 or f01 % 4 or f10 % 4 or f11 % 4), \
         "four-term identity must be divisible by 4"
-    return CountTable(q=q, r=r, X=X,
-                      cells=((f00 // 4, f01 // 4), (f10 // 4, f11 // 4)),
-                      deviations4=((f00 - X, f01 - X), (f10 - X, f11 - X)))
+    return CountTable(q, r, X, ((f00 // 4, f01 // 4), (f10 // 4, f11 // 4)))
 
 
 def count_classes_fast(q: int, r: int, X: int) -> CountTable:
     """Exact table via the four-term identity; O(q log X)."""
-    _validate(q, r, X, extension=False)
-    return _four_term_table(q, r, X, eps_partial_sum(X),
-                            dilation_sum(q, r, X), corr_fast(q, r, X))
+    U = dilation_sum(q, r, X)   # validates (q, r, X) before any other work
+    return _four_term_table(q, r, X, eps_partial_sum(X), U, corr_fast(q, r, X))
 
 
 def count_tables(q: int, xs) -> dict[int, list[CountTable]]:

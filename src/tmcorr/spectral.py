@@ -95,21 +95,6 @@ class MonicIntPolynomial:
     def derivative_coeffs(self) -> tuple[int, ...]:
         return tuple(_derivative(self.coeffs))
 
-    def __str__(self) -> str:
-        parts = []
-        for k in range(self.degree, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            term = "x" if k == 1 else (f"x^{k}" if k > 1 else "")
-            mag = abs(c)
-            coef = "" if (mag == 1 and k > 0) else str(mag)
-            parts.append(("-" if c < 0 else "+", f"{coef}{term}"))
-        out = parts[0][1] if parts[0][0] == "+" else "-" + parts[0][1]
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
-
 
 def char_poly(M) -> MonicIntPolynomial:
     """Exact characteristic polynomial det(xI - M), Faddeev-LeVerrier.

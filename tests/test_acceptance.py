@@ -3,7 +3,7 @@ tolerance, printing a PASS line when it holds.
 
 Run `pytest tests/test_acceptance.py -v -s` for the per-criterion lines.
 The oracle-equivalence criterion sweeps every X up to 10^5 and is the
-long pole (about a minute); everything else runs in seconds.
+long pole (about 40 s); everything else runs in seconds.
 """
 
 import math

@@ -3,8 +3,9 @@ import random
 import numpy as np
 import pytest
 
-from tmcorr import (NAIVE_LIMIT, count_adjacent, count_adjacent_fast,
-                    count_classes_fast, count_classes_naive, count_tables)
+from tmcorr import (NAIVE_LIMIT, CountTable, corr_fast, count_adjacent,
+                    count_adjacent_fast, count_classes_fast, count_classes_naive,
+                    count_tables, dilation_sum, eps_partial_sum)
 
 
 def test_naive_example():
@@ -82,6 +83,52 @@ def test_extension_shifts():
     assert sum(v for row in table.cells for v in row) == 100
     with pytest.raises(ValueError):
         count_classes_fast(3, 5, 100)
+
+
+@pytest.mark.parametrize("q", [1, 3, 5, 63])
+def test_fast_tables_derive_deviations_from_cells(q):
+    # deviations4 = 4 cells - X is derived, not stored: on the fast path it
+    # must equal the four-term deviation (-1)^i P + (-1)^k U + (-1)^(i+k) S
+    # from the separately computed sums, and be exact at any X
+    huge = 2 ** 4096
+    xs = [0, 1, 2, 2 ** 64, huge] + list(range(2 ** 20 - 8, 2 ** 20 + 8))
+    tables = count_tables(q, xs)
+    for X in xs:
+        P = eps_partial_sum(X)
+        # at q = 63, X = 2^4096 one shift's four engine calls take ~0.3 s
+        shifts = (0, 1, q // 2, q - 1) if (q, X) == (63, huge) else range(q)
+        for r in shifts:
+            table = tables[X][r]
+            assert table == count_classes_fast(q, r, X), (q, r, X)
+            U, S = dilation_sum(q, r, X), corr_fast(q, r, X)
+            dev4 = table.deviations4
+            assert dev4 == tuple(tuple((-1) ** i * P + (-1) ** k * U
+                                       + (-1) ** (i + k) * S for k in (0, 1))
+                                 for i in (0, 1)), (q, r, X)
+            if X == huge:
+                # every deviation is past double range here; the quarter
+                # units stay exact integers
+                for i in (0, 1):
+                    for k in (0, 1):
+                        with pytest.raises(OverflowError):
+                            table.deviation(i, k)
+                continue
+            assert table.max_abs_deviation() == \
+                max(abs(v) for row in dev4 for v in row) / 4
+            for i in (0, 1):
+                for k in (0, 1):
+                    assert table.deviation(i, k) == dev4[i][k] / 4
+
+
+def test_kept_checks():
+    with pytest.raises(ValueError, match="cells sum to"):
+        CountTable(3, 0, 8, ((3, 0), (4, 2)))
+    # the fast path validates through the correlation module, whose
+    # messages name no option that count_classes_fast lacks
+    for q, r, X in ((3, 5, 100), (4, 0, 10), (3, -1, 10), (3, 0, -1)):
+        with pytest.raises(ValueError) as info:
+            count_classes_fast(q, r, X)
+        assert "extension" not in str(info.value), (q, r, X)
 
 
 def test_deviation_bound_at_2_30():
