@@ -8,6 +8,7 @@ with a raw integer is accepted as a single point.
 
 import argparse
 import functools
+import math
 import sys
 
 from .digitseq import eps, class_of
@@ -201,8 +202,10 @@ def cmd_fit(args) -> str:
             raise ValueError("no X column to fit against")
         by_X: dict[int, float] = {}
         for row in reader:
-            X = int(row["X"])
-            v = abs(float(row[col]))
+            X = int(row["X"] or "")   # a short row leaves its missing cells None
+            v = abs(float(row[col] or "nan"))
+            if not math.isfinite(v):
+                raise ValueError(f"missing or non-finite {col} at X={X}")
             by_X[X] = max(by_X.get(X, 0.0), v)
     if len(by_X) < 3:
         raise ValueError("need >= 3 samples")

@@ -41,25 +41,13 @@ def eps_partial_sum(X: int) -> int:
     return total_from_zero - 1
 
 
-def _doubled(v: list[int], m: int) -> list[int]:
-    """out[2r mod m] = sum of v[r]: residue counts after appending a 0 bit."""
-    h = (m + 1) // 2
-    out = [0] * m
-    if m % 2:
-        out[0::2], out[1::2] = v[:h], v[h:]
-    else:
-        out[0::2] = [a + b for a, b in zip(v[:h], v[h:])]
-    return out
-
-
 def gelfond_count(X: int, l: int, m: int, j: int) -> int:
     """Count n with 1 <= n <= X, n = l (mod m), and parity class j.
 
-    Most-significant-bit-first loop over the digits of X.  The prefixes
-    already below the same-length prefix of X are counted by (digit-sum
-    parity, residue mod m) in two lists; the prefix equal to X's is tracked
-    on its own.  Exact, O(m log X) integer steps, no recursion.  l is
-    reduced mod m on entry.
+    With m = 2^a m' (m' odd), b = l mod 2^a and c = l >> a (l reduced mod
+    m), the n counted are 2^a (m' t + c) + b for t = 0..T.  Their low a bits
+    are b, so eps(n) = eps(b) eps(m' t + c), and the signed sum over t is the
+    dilation sum U_m'(T, c) plus the t = 0 term: O(m' log X) engine steps.
     """
     if m < 1:
         raise ValueError("modulus m must be >= 1")
@@ -67,24 +55,14 @@ def gelfond_count(X: int, l: int, m: int, j: int) -> int:
         raise ValueError("class index j must be 0 or 1")
     if X < 0:
         raise ValueError("X must be nonnegative")
+    from .correlation import shift_vectors   # correlation imports this module
     l %= m
-    if X == 0:
+    a = (m & -m).bit_length() - 1
+    odd, b, c = m >> a, l & ((1 << a) - 1), l >> a
+    T = (((X - b) >> a) - c) // odd   # negative when no n qualifies
+    if T < 0:
         return 0
-
-    below = [[0] * m, [0] * m]     # below[parity][residue]
-    tight_r, tight_p = 0, 0
-    for bit in bin(X)[2:]:
-        even, odd = _doubled(below[0], m), _doubled(below[1], m)
-        # a 0 bit keeps parity and residue 2r; a 1 bit flips parity, residue 2r+1
-        below = [[a + b for a, b in zip(even, odd[-1:] + odd[:-1])],
-                 [a + b for a, b in zip(odd, even[-1:] + even[:-1])]]
-        tight_r = 2 * tight_r % m
-        if bit == "1":
-            below[tight_p][tight_r] += 1    # X's prefix with a 0 here drops below
-            tight_r = (tight_r + 1) % m
-            tight_p ^= 1
-    # counts n in [0, X]; the n = 0 solution is dropped when it qualifies
-    total = below[j][l] + (tight_r == l and tight_p == j)
-    if l == 0 and j == 0:
-        total -= 1
-    return total
+    N, E = T + 1, eps(b) * (eps(c) + shift_vectors(odd, (T,), dilation=True)[T][c])
+    if l == 0:   # drop the n = 0 term
+        N, E = N - 1, E - 1
+    return (N + E) // 2 if j == 0 else (N - E) // 2

@@ -39,7 +39,7 @@ def emit(payload: dict, format: str = "csv", columns=()) -> str:
     CSV values go through format_number; strings pass through as they are.
     """
     if format == "json":
-        return json.dumps(payload, indent=2) + "\n"
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
     if format != "csv":
         raise ValueError(f"unknown format {format!r}")
     lines = [",".join(columns)]

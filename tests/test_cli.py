@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -196,6 +200,30 @@ def test_fit_needs_three_samples(tmp_path, capsys):
 def test_fit_missing_file(capsys):
     code, _, err = run_cli(capsys, "fit", "/nonexistent/ladder.csv")
     assert code == 1 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("rows, X", [("4", 4), ("4,1\n8,nan\n16,2\n32,3", 8),
+                                     ("4,1\n8,inf\n16,2\n32,3", 8)])
+def test_fit_refuses_missing_or_non_finite_value(tmp_path, capsys, rows, X):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"X,value\n{rows}\n")
+    code, out, err = run_cli(capsys, "fit", str(bad))
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"error: missing or non-finite value at X={X}"]
+
+
+def test_cli_runs_as_a_process():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "tmcorr.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+
+    done = run("eps", "7")
+    assert (done.returncode, done.stdout) == (0, "-1 class=1 bits=3\n")
+    done = run("corr", "4", "0", "8")
+    assert done.returncode == 1 and done.stdout == ""
+    assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("error:")
 
 
 def test_deterministic_output(capsys):

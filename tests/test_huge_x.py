@@ -119,7 +119,7 @@ def test_ladder_on_one_chain_matches_single_points():
 def test_gelfond_count_huge_x_matches_blocks():
     rng = random.Random(600)
     X = rng.getrandbits(600) | 1 << 600
-    for m in (1, 3, 7, 10):
+    for m in (1, 3, 7, 10, 64, 96, 101):
         counts = [[gelfond_count(X, l, m, j) for j in (0, 1)] for l in range(m)]
         assert sum(map(sum, counts)) == X
         for l in range(m):
