@@ -7,6 +7,7 @@ with a raw integer is accepted as a single point.
 """
 
 import argparse
+import csv
 import functools
 import math
 import sys
@@ -15,10 +16,11 @@ from .digitseq import eps, class_of
 from .correlation import corr_naive, build_transfer, shift_vectors
 from .spectral import DEFAULT_SEED, RootFindingError, spectral_report
 from .expsum import RationalPhase, scan_alpha
-from .counting import count_classes_naive, count_tables, count_adjacent_fast
+from .counting import count_tables, count_adjacent_fast
 from .report import SumLadder, emit, fit_exponent, fit_record, round12
 
 NAIVE_CHECK_LIMIT = 10**5
+EXTENSION_LIMIT = 2**10   # count --extension carries every shift 0..r through the engine
 
 
 def _parse_exponent(text: str) -> int:
@@ -67,6 +69,8 @@ def _parse_shifts(text: str, q: int, extension: bool | None = None) -> list[int]
     if r < 0 or (not extension and r >= q):
         hint = "; pass --extension for exploratory r >= q" if extension is False else ""
         raise ValueError(f"shift must satisfy 0 <= r < q, got r={r} q={q}{hint}")
+    if r >= q and r > EXTENSION_LIMIT:
+        raise ValueError(f"extension shifts are refused for r > {EXTENSION_LIMIT}")
     return [r]
 
 
@@ -132,15 +136,12 @@ def cmd_count(args) -> str:
         raise ValueError("multiplier must be odd")
     ladder = parse_ladder(args.ladder)
     shifts = _parse_shifts(args.shift, q, extension=args.extension)
-    tables = count_tables(q, ladder) if min(shifts) < q else {}
+    tables = count_tables(q, ladder, size=max(shifts) + 1)
     rows = []
     worst_by_X: dict[int, float] = {}
     for X in ladder:
         for r in shifts:
-            if r < q:
-                table = tables[X][r]
-            else:
-                table = count_classes_naive(q, r, X, extension=True)
+            table = tables[X][r]
             for i in (0, 1):
                 for k in (0, 1):
                     rows.append({"X": X, "q": q, "r": r, "i": i, "k": k,
@@ -188,9 +189,8 @@ def cmd_scan(args) -> str:
 
 
 def cmd_fit(args) -> str:
-    import csv as _csv
     with open(args.path, newline="", encoding="utf-8") as fh:
-        reader = _csv.DictReader(fh)
+        reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise ValueError("need >= 3 samples")
         for col in ("value", "deviation", "count"):
@@ -251,8 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("shift", help="shift r, or 'all'")
     p.add_argument("ladder")
     p.add_argument("--extension", action="store_true",
-                   help="allow exploratory shifts r >= q (direct loop, "
-                        "no main-term claim)")
+                   help="allow exploratory shifts r >= q (no main-term claim)")
     add_common(p)
     p.set_defaults(func=cmd_count)
 
@@ -288,19 +287,22 @@ def main(argv=None) -> int:
     digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     if digit_limit is not None:
         sys.set_int_max_str_digits(0)
+    # a CSV field that `fit` reads back holds one such number
+    field_limit = csv.field_size_limit(sys.maxsize)
     try:
         text = args.func(args)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except (ValueError, OSError, OverflowError, RootFindingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:
+        csv.field_size_limit(field_limit)
         if digit_limit is not None:
             sys.set_int_max_str_digits(digit_limit)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return 0
 
 

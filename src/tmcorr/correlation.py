@@ -43,14 +43,16 @@ def corr_naive(q: int, r: int, X: int) -> int:
     return sum(eps(n) * eps(q * n + r) for n in range(1, X + 1))
 
 
-def shift_rows(q: int) -> tuple[tuple[int, int, int], ...]:
-    """Row s = (sign, a, b) of the halving recursion for the shift alphabet 0..q-1.
+def shift_rows(q: int, size: int = 0) -> tuple[tuple[int, int, int], ...]:
+    """Row s = (sign, a, b) of the halving recursion for the shift alphabet
+    0..R, R = max(q, size) - 1.
 
     The terms n = 2k of shift s are sign times the terms k of shift a = s//2;
     the terms n = 2k+1 are sign times those k of shift b = (q+s)//2 for the
-    correlation, and minus that for the dilation.  sign = -1 for odd s.
+    correlation, and minus that for the dilation.  sign = -1 for odd s.  The
+    alphabet is closed under both maps because R >= q-1.
     """
-    return tuple((1 - 2 * (s & 1), s >> 1, (q + s) >> 1) for s in range(q))
+    return tuple((1 - 2 * (s & 1), s >> 1, (q + s) >> 1) for s in range(max(q, size)))
 
 
 def _common_prefix(u: int, v: int) -> int:
@@ -60,8 +62,8 @@ def _common_prefix(u: int, v: int) -> int:
     return m - ((u >> (lu - m)) ^ (v >> (lv - m))).bit_length()
 
 
-def _prefixed_vectors(q: int, xs, dilation: bool) -> dict[int, list[int]]:
-    """X -> [sum_{n=0..X} w_s(n) for s in 0..q-1] for every X in xs.
+def _prefixed_vectors(q: int, xs, dilation: bool, size: int = 0) -> dict[int, list[int]]:
+    """X -> [sum_{n=0..X} w_s(n) for s in 0..R] for every X in xs (R as in shift_rows).
 
     w_s(n) = eps(n) eps(qn+s), or eps(qn+s) for the dilation.  With F(Y)
     the vector at size Y, the state at a bit prefix h of X is the pair
@@ -73,11 +75,12 @@ def _prefixed_vectors(q: int, xs, dilation: bool) -> dict[int, list[int]]:
     between the depths where a later X branches off, and a state is kept
     only at a slice end.  A single X is one slice.
     """
-    rows = shift_rows(q)
+    width = max(q, size)
+    rows = shift_rows(q, width)
     paths = sorted((bin(X)[2:] if X else "", X) for X in set(xs))
     starts = [0] + [_common_prefix(u, v) for (_, u), (_, v) in zip(paths, paths[1:])]
     cuts = sorted(set(starts[1:]))   # depths where a later X branches off
-    states = {0: ([eps(s) for s in range(q)], [0] * q)}   # depth -> (F(h), F(h-1))
+    states = {0: ([eps(s) for s in range(width)], [0] * width)}   # depth -> (F(h), F(h-1))
     out = {}
     for (bits, X), depth in zip(paths, starts):
         V, W = states[depth]
@@ -96,8 +99,9 @@ def _prefixed_vectors(q: int, xs, dilation: bool) -> dict[int, list[int]]:
     return out
 
 
-def shift_vectors(q: int, xs, dilation: bool = False) -> dict[int, list[int]]:
-    """X -> [S_q(X, r) for r in 0..q-1] for every X in xs (U_q if dilation).
+def shift_vectors(q: int, xs, dilation: bool = False, size: int = 0) -> dict[int, list[int]]:
+    """X -> [S_q(X, r) for r in 0..max(q, size)-1] for every X in xs (U_q if
+    dilation); a size above q adds the shifts r >= q.
 
     One engine pass serves the whole set: every shift at once, and every
     bit prefix that several X share (a ladder of powers of two, a range of
@@ -105,8 +109,8 @@ def shift_vectors(q: int, xs, dilation: bool = False) -> dict[int, list[int]]:
     """
     xs = list(xs)
     _validate_batch(q, xs)
-    full = _prefixed_vectors(q, xs, dilation)
-    base = [eps(r) for r in range(q)]   # the n = 0 terms
+    full = _prefixed_vectors(q, xs, dilation, size)
+    base = [eps(r) for r in range(max(q, size))]   # the n = 0 terms
     return {X: [v - e for v, e in zip(full[X], base)] for X in full}
 
 

@@ -55,7 +55,7 @@ def count_classes_naive(q: int, r: int, X: int, extension: bool = False) -> Coun
     """Direct loop over m = 1..X; the oracle for count_classes_fast.
 
     extension=True lifts the r < q restriction (exploratory; no main-term
-    claim is attached to such shifts).
+    claim is attached to such shifts), as count_tables does with a size > q.
     """
     if q < 1 or q % 2 == 0:
         raise ValueError("multiplier must be odd")
@@ -86,19 +86,22 @@ def count_classes_fast(q: int, r: int, X: int) -> CountTable:
     return _four_term_table(q, r, X, eps_partial_sum(X), U, corr_fast(q, r, X))
 
 
-def count_tables(q: int, xs) -> dict[int, list[CountTable]]:
-    """X -> [count_classes_fast(q, r, X) for r in 0..q-1] for every X in xs.
+def count_tables(q: int, xs, size: int = 0) -> dict[int, list[CountTable]]:
+    """X -> [count_classes_fast(q, r, X) for r in 0..q-1] for every X in xs;
+    a size above q adds count_classes_naive(q, r, X, extension=True) for
+    r in q..size-1.
 
     One engine pass each for the correlation and the dilation sums covers
     all shifts and all X (see ``correlation.shift_vectors``).
     """
     xs = list(xs)
-    S = shift_vectors(q, xs)
-    U = shift_vectors(q, xs, dilation=True)
+    S = shift_vectors(q, xs, size=size)
+    U = shift_vectors(q, xs, dilation=True, size=size)
     tables = {}
     for X in S:
         P = eps_partial_sum(X)
-        tables[X] = [_four_term_table(q, r, X, P, U[X][r], S[X][r]) for r in range(q)]
+        tables[X] = [_four_term_table(q, r, X, P, u, s)
+                     for r, (u, s) in enumerate(zip(U[X], S[X]))]
     return tables
 
 

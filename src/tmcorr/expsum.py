@@ -2,19 +2,19 @@
 
     f(X, alpha) = sum_{n=0..X-1} eps(n) * e^{2 pi i alpha n}
 
-Phases are kept as reduced fractions so that the halving recursion can
-double alpha exactly (integer arithmetic mod 1); repeatedly doubling a
+Phases are kept as reduced fractions so that the prefix walk can double
+alpha exactly (integer arithmetic mod 1); repeatedly doubling a
 floating-point phase would lose the phase entirely after ~50 levels.
 """
 
 import cmath
 import math
+from operator import mul, sub
 from dataclasses import dataclass
 
 from .digitseq import NAIVE_LIMIT, check_naive_limit, eps   # NAIVE_LIMIT: re-exported
 MAX_PRODUCT_LEVELS = 50
 _TWO_PI = 2.0 * math.pi
-_BASE = (0j, 1 + 0j)   # f(0), f(1)
 
 
 def _cis(p: int, q: int) -> complex:
@@ -41,10 +41,6 @@ class RationalPhase:
         """2*alpha mod 1, exactly."""
         return RationalPhase(2 * self.p, self.q)
 
-    def cis(self) -> complex:
-        """e^{2 pi i p/q}."""
-        return _cis(self.p, self.q)
-
 
 def expsum_naive(alpha: RationalPhase, X: int) -> complex:
     """Direct left-to-right evaluation of f(X, alpha); guarded O(X) loop.
@@ -65,37 +61,31 @@ def expsum_naive(alpha: RationalPhase, X: int) -> complex:
 
 
 def expsum_fast(alpha: RationalPhase, X: int) -> complex:
-    """f(X, alpha) by ceil/floor halving; O(log X) complex operations.
-
-    Recursion: f(Y) at phase a equals f(ceil(Y/2)) - e(a) * f(floor(Y/2)),
-    both at phase 2a; bases f(0) = 0, f(1) = 1.  A loop climbs the sizes of
-    `_schedule(X)`, keeping the values at two sizes per level; there is no
-    recursion and no limit on X.  Raises ValueError when the result is not
-    finite: |f| can grow like X^0.79 (at alpha = 1/3), which leaves
-    double precision near X = 2^1293.
+    """f(X, alpha) by the prefix walk over the bits of X-1: O(log X) complex
+    operations, any X >= 0.  Raises ValueError when the result is not finite:
+    |f| can grow like X^0.79 (at alpha = 1/3), leaving double range near X = 2^1293.
     """
-    sizes, p, q = _schedule(X), alpha.p, alpha.q
-    es = [_cis(p * pow(2, k, q), q) for k in range(len(sizes) - 2, -1, -1)]
-    return _finite(_halve(sizes, es), p, q, X)
+    p, q = alpha.p, alpha.q
+    return _finite(_walk(X, 1, lambda k: [_cis(p * pow(2, k, q), q)])[0], p, q, X)
 
 
-def _schedule(X: int) -> list:
-    """Sizes (floor(X/2^k), ceil(X/2^k)) from the first k where both are <= 1
-    down to k = 0; the halves of a size are the two sizes one level deeper."""
+def _walk(X: int, width: int, level) -> list:
+    """[f(X, alpha) for `width` phases alpha]; level(k) lists their e(2^k alpha).
+
+    With G(Y) = sum_{n<=Y} eps(n) e(alpha n), f(X) = G(X-1).  The walk reads
+    the bits of X-1 from the top and keeps the state (G(h), G(h-1)) of the
+    prefix h read so far, from (G(0), G(-1)) = (1, 0).  Splitting n into
+    even and odd, G at phase alpha and prefix 2h+c comes from G' at phase
+    2 alpha and prefix h: with M = G'(h+c-1) and e = e(2^k alpha), k the
+    number of bits below c, the new state is (G'(h) - e M, M - e G'(h-1)).
+    """
     if X < 0:
         raise ValueError("X must be nonnegative")
-    depth = (X - 1).bit_length() if X else 0
-    return [(X >> k, -(-X >> k)) for k in range(depth, -1, -1)]
-
-
-def _halve(sizes: list, es) -> complex:
-    """f at the last of `sizes`, climbing from the first; es holds e(2^k alpha)
-    for each later level k, in the same order."""
-    f_lo, f_hi = _BASE[sizes[0][0]], _BASE[sizes[0][1]]
-    for (lo, hi), e in zip(sizes[1:], es):
-        f_lo, f_hi = (_BASE[lo] if lo <= 1 else (f_hi if lo & 1 else f_lo) - e * f_lo,
-                      _BASE[hi] if hi <= 1 else f_hi - e * (f_lo if hi & 1 else f_hi))
-    return f_hi
+    Y, V, W = X - 1, [1 + 0j] * width, [0j] * width
+    for k in reversed(range(Y.bit_length() if X else 0)):
+        M, es = (V if Y >> k & 1 else W), level(k)
+        V, W = list(map(sub, V, map(mul, es, M))), list(map(sub, M, map(mul, es, W)))
+    return V if X else W   # f(0) = G(-1) = 0
 
 
 def _finite(f: complex, p: int, q: int, X: int) -> complex:
@@ -128,17 +118,16 @@ class ScanResult:
 
 
 def scan_alpha(X: int, grid: int) -> ScanResult:
-    """Deterministic phase scan; ties keep the lowest numerator p."""
+    """Phase scan in one prefix walk over p/grid, p = 1..grid-1; ties keep the lowest p."""
     if grid < 2:
         raise ValueError("grid must be >= 2")
-    sizes = _schedule(X)
-    # e(j/grid) once per residue j; the level-k phase of p/grid is the
-    # residue p 2^k mod grid
-    cis = [_cis(j, grid) for j in range(grid)]
-    twos = [pow(2, k, grid) for k in range(len(sizes) - 2, -1, -1)]
-    best_mod, best_p = -1.0, 1
-    for p in range(1, grid):
-        mod = abs(_finite(_halve(sizes, [cis[p * t % grid] for t in twos]), p, grid, X))
-        if mod > best_mod:
-            best_mod, best_p = mod, p
-    return ScanResult(X=X, grid=grid, max_modulus=best_mod, argmax_p=best_p)
+    cis = [_cis(j, grid) for j in range(grid)]   # e(j/grid) once per residue j
+    ps = range(1, grid)
+
+    def level(k):   # the level-k phase of p/grid is the residue p 2^k mod grid
+        t = pow(2, k, grid)
+        return [cis[p * t % grid] for p in ps]
+
+    mods = [abs(_finite(f, p, grid, X)) for p, f in zip(ps, _walk(X, grid - 1, level))]
+    best = mods.index(max(mods))
+    return ScanResult(X=X, grid=grid, max_modulus=mods[best], argmax_p=best + 1)

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from tmcorr.cli import main, parse_ladder
+from tmcorr.cli import EXTENSION_LIMIT, main, parse_ladder
 
 
 def run_cli(capsys, *argv):
@@ -150,6 +151,24 @@ def test_count_extension_flag(capsys):
     assert total == 100
 
 
+@pytest.mark.parametrize("q, r, X", [(3, 5, "10000001"), (5, 7, "2^1000")])
+def test_count_extension_runs_past_the_direct_loop_limit(capsys, q, r, X):
+    code, out, _ = run_cli(capsys, "count", str(q), str(r), X, "--extension")
+    assert code == 0
+    lines = out.strip().split("\n")[1:]
+    assert len(lines) == 4
+    assert sum(int(line.split(",")[5]) for line in lines) == parse_ladder(X)[0]
+
+
+def test_count_extension_refuses_a_shift_past_the_limit(capsys):
+    code, out, err = run_cli(capsys, "count", "3", str(EXTENSION_LIMIT + 1), "8",
+                             "--extension")
+    assert code == 1 and out == ""
+    assert err == f"error: extension shifts are refused for r > {EXTENSION_LIMIT}\n"
+    code, _, _ = run_cli(capsys, "count", "3", str(EXTENSION_LIMIT), "8", "--extension")
+    assert code == 0
+
+
 def test_count_json_includes_fit(capsys):
     _, out, _ = run_cli(capsys, "count", "3", "all", "2^10..2^14",
                         "--format", "json")
@@ -212,6 +231,18 @@ def test_fit_refuses_missing_or_non_finite_value(tmp_path, capsys, rows, X):
     assert err.splitlines() == [f"error: missing or non-finite value at X={X}"]
 
 
+def test_fit_reads_a_field_past_the_csv_default_limit(tmp_path, capsys):
+    # an X of about 2^465000 has 140,000 digits, past csv's 131,072-character
+    # field limit; `corr --out` can write such a file
+    big = tmp_path / "big.csv"
+    zeros = "0" * 139999
+    big.write_text(f"X,value\n1{zeros},5\n2{zeros},6\n4{zeros},7\n")
+    limit = csv.field_size_limit()
+    code, out, _ = run_cli(capsys, "fit", str(big))
+    assert code == 0 and json.loads(out)["n_samples"] == 3
+    assert csv.field_size_limit() == limit
+
+
 def test_cli_runs_as_a_process():
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
 
@@ -240,3 +271,10 @@ def test_out_writes_file(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "count", "3", "0", "8..8", "--out", str(target))
     assert code == 0 and out == ""
     assert target.read_text().startswith("X,q,r,i,k,cell,deviation\n")
+
+
+@pytest.mark.parametrize("target", ["missing-dir/out.csv", "."])
+def test_out_to_an_unwritable_path_is_one_error_line(tmp_path, capsys, target):
+    code, out, err = run_cli(capsys, "corr", "3", "0", "8", "--out", str(tmp_path / target))
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")

@@ -85,6 +85,18 @@ def test_extension_shifts():
         count_classes_fast(3, 5, 100)
 
 
+@pytest.mark.parametrize("q", [1, 3, 5, 7])
+def test_extension_tables_equal_direct_loop(q):
+    # the alphabet 0..R, R >= q-1, is closed under s -> s//2, (q+s)//2, so the
+    # engine gives the exploratory shifts r >= q exactly
+    R = 2 * q + 3
+    tables = count_tables(q, range(200), size=R + 1)
+    for X in range(200):
+        assert len(tables[X]) == R + 1
+        for r in range(R + 1):
+            assert tables[X][r] == count_classes_naive(q, r, X, extension=True), (q, r, X)
+
+
 @pytest.mark.parametrize("q", [1, 3, 5, 63])
 def test_fast_tables_derive_deviations_from_cells(q):
     # deviations4 = 4 cells - X is derived, not stored: on the fast path it
