@@ -51,12 +51,12 @@ def parse_ladder(spec: str) -> list[int]:
             if hi_exp < lo_exp:
                 raise ValueError("ladder upper exponent below lower")
             return [2 ** e for e in range(lo_exp, hi_exp + 1, step)]
-        lo, hi = _parse_point(lo_text), _parse_point(hi_text)
-        if lo != hi:
+        point, hi = _parse_point(lo_text), _parse_point(hi_text)
+        if point != hi:
             raise ValueError("raw integer ranges must be single points; "
                              "use 2^a..2^b for geometric ladders")
-        return [lo]
-    point = _parse_point(body)
+    else:
+        point = _parse_point(body)
     if point < 0:
         raise ValueError("ladder points must be nonnegative")
     return [point]
@@ -119,15 +119,22 @@ def cmd_eigen(args) -> str:
     return emit(payload, "json")
 
 
-def _fit(label: str, by_X: dict[int, float]) -> dict:
-    ladder = SumLadder(label=label, samples=tuple(sorted(by_X.items())))
-    return fit_record(fit_exponent(ladder))
+def _fit(pairs) -> dict:
+    """The fit record of the worst |v| per X over the (X, v) pairs."""
+    worst: dict[int, float] = {}
+    for X, v in pairs:
+        worst[X] = max(worst.get(X, 0.0), abs(v))
+    return fit_record(fit_exponent(SumLadder(samples=tuple(sorted(worst.items())))))
 
 
-def _add_deviation_fit(payload: dict, label: str, by_X: dict[int, float]) -> None:
-    """Attach the log-log fit of the worst deviation per X (>= 3 points, X >= 2)."""
-    if len(by_X) >= 3 and min(by_X) >= 2:
-        payload["deviation_fit"] = _fit(label, by_X)
+def _emit_ladder(payload: dict, format: str, columns: list[str]) -> str:
+    """Emit the rows; JSON also gets the fit of their worst |deviation| per
+    X when they span >= 3 X, all >= 2."""
+    rows = payload["rows"]
+    xs = {row["X"] for row in rows}
+    if format == "json" and len(xs) >= 3 and min(xs) >= 2:
+        payload["deviation_fit"] = _fit((row["X"], row["deviation"]) for row in rows)
+    return emit(payload, format, columns)
 
 
 def cmd_count(args) -> str:
@@ -136,30 +143,20 @@ def cmd_count(args) -> str:
         raise ValueError("multiplier must be odd")
     ladder = parse_ladder(args.ladder)
     shifts = _parse_shifts(args.shift, q, extension=args.extension)
-    tables = count_tables(q, ladder, size=max(shifts) + 1)
-    rows = []
-    worst_by_X: dict[int, float] = {}
-    for X in ladder:
-        for r in shifts:
-            table = tables[X][r]
-            for i in (0, 1):
-                for k in (0, 1):
-                    rows.append({"X": X, "q": q, "r": r, "i": i, "k": k,
-                                 "cell": table.cells[i][k],
-                                 "deviation": table.deviation(i, k)})
-            worst = table.max_abs_deviation()
-            worst_by_X[X] = max(worst_by_X.get(X, 0.0), worst)
+    tables = count_tables(q, ladder, shifts)
+    rows = [{"X": X, "q": q, "r": r, "i": i, "k": k, "cell": table.cells[i][k],
+             "deviation": table.deviation(i, k)}
+            for X in ladder for r, table in tables[X].items()
+            for i in (0, 1) for k in (0, 1)]
     payload = {"q": q, "shifts": shifts, "extension": bool(args.extension),
                "rows": rows}
-    if args.format == "json":
-        _add_deviation_fit(payload, f"count q={q} deviations", worst_by_X)
-    return emit(payload, args.format, ["X", "q", "r", "i", "k", "cell", "deviation"])
+    return _emit_ladder(payload, args.format,
+                        ["X", "q", "r", "i", "k", "cell", "deviation"])
 
 
 def cmd_adjacent(args) -> str:
     ladder = parse_ladder(args.ladder)
     rows = []
-    worst_by_X: dict[int, float] = {}
     for X in ladder:
         F = count_adjacent_fast(X)
         for i in (0, 1):
@@ -171,11 +168,8 @@ def cmd_adjacent(args) -> str:
                 dev = (d * F[i][k] - X) / d
                 rows.append({"X": X, "i": i, "k": k, "count": F[i][k],
                              "main": round12(main), "deviation": round12(dev)})
-                worst_by_X[X] = max(worst_by_X.get(X, 0.0), abs(dev))
-    payload = {"rows": rows}
-    if args.format == "json":
-        _add_deviation_fit(payload, "adjacent deviations", worst_by_X)
-    return emit(payload, args.format, ["X", "i", "k", "count", "main", "deviation"])
+    return _emit_ladder({"rows": rows}, args.format,
+                        ["X", "i", "k", "count", "main", "deviation"])
 
 
 def cmd_scan(args) -> str:
@@ -200,16 +194,14 @@ def cmd_fit(args) -> str:
             raise ValueError("no value/deviation/count column to fit")
         if "X" not in reader.fieldnames:
             raise ValueError("no X column to fit against")
-        by_X: dict[int, float] = {}
+        samples = []
         for row in reader:
             X = int(row["X"] or "")   # a short row leaves its missing cells None
-            v = abs(float(row[col] or "nan"))
+            v = float(row[col] or "nan")
             if not math.isfinite(v):
                 raise ValueError(f"missing or non-finite {col} at X={X}")
-            by_X[X] = max(by_X.get(X, 0.0), v)
-    if len(by_X) < 3:
-        raise ValueError("need >= 3 samples")
-    record = _fit(f"max |{col}| from {args.path}", by_X)
+            samples.append((X, v))
+    record = _fit(samples)
     return emit(record, args.format, list(record))
 
 

@@ -8,8 +8,8 @@ four-term identity
 
 with P the plain sign partial sum, U the dilation sum, and S the
 correlation sum, so fast-vs-naive equality is an exact integer test.
-``count_tables`` builds the tables of every shift over a set of X from one
-pass of the correlation module's halving engine per sum.
+``count_tables`` builds the tables of the asked shifts over a set of X from
+one pass of the correlation module's halving engine per sum.
 ``count_adjacent_fast`` gives the n - m = 1 table in O(log X) steps; the
 direct loop ``count_adjacent`` is its oracle.
 """
@@ -55,7 +55,7 @@ def count_classes_naive(q: int, r: int, X: int, extension: bool = False) -> Coun
     """Direct loop over m = 1..X; the oracle for count_classes_fast.
 
     extension=True lifts the r < q restriction (exploratory; no main-term
-    claim is attached to such shifts), as count_tables does with a size > q.
+    claim is attached to such shifts), as count_tables does for shifts r >= q.
     """
     if q < 1 or q % 2 == 0:
         raise ValueError("multiplier must be odd")
@@ -86,22 +86,25 @@ def count_classes_fast(q: int, r: int, X: int) -> CountTable:
     return _four_term_table(q, r, X, eps_partial_sum(X), U, corr_fast(q, r, X))
 
 
-def count_tables(q: int, xs, size: int = 0) -> dict[int, list[CountTable]]:
-    """X -> [count_classes_fast(q, r, X) for r in 0..q-1] for every X in xs;
-    a size above q adds count_classes_naive(q, r, X, extension=True) for
-    r in q..size-1.
+def count_tables(q: int, xs, shifts=None) -> dict[int, dict[int, CountTable]]:
+    """X -> {r: count_classes_fast(q, r, X)} for every X in xs and r in
+    shifts (default 0..q-1); a shift r >= q gives the exploratory
+    count_classes_naive(q, r, X, extension=True).
 
     One engine pass each for the correlation and the dilation sums covers
     all shifts and all X (see ``correlation.shift_vectors``).
     """
     xs = list(xs)
+    shifts = range(q) if shifts is None else list(shifts)
+    if any(r < 0 for r in shifts):
+        raise ValueError("shifts must be nonnegative")
+    size = max(shifts, default=0) + 1
     S = shift_vectors(q, xs, size=size)
     U = shift_vectors(q, xs, dilation=True, size=size)
     tables = {}
     for X in S:
         P = eps_partial_sum(X)
-        tables[X] = [_four_term_table(q, r, X, P, u, s)
-                     for r, (u, s) in enumerate(zip(U[X], S[X]))]
+        tables[X] = {r: _four_term_table(q, r, X, P, U[X][r], S[X][r]) for r in shifts}
     return tables
 
 

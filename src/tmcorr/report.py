@@ -51,9 +51,8 @@ def emit(payload: dict, format: str = "csv", columns=()) -> str:
 
 @dataclass(frozen=True)
 class SumLadder:
-    """Labeled (X, value) samples with strictly increasing X."""
+    """(X, value) samples with strictly increasing X."""
 
-    label: str
     samples: tuple[tuple[int, float], ...]
 
     def __post_init__(self):

@@ -131,11 +131,13 @@ def roots(p: MonicIntPolynomial, tol: float = 1e-8, max_iterations: int = 500,
     returned m times for a factor of multiplicity m, sorted by (re, im).
     A factor's iteration starts on the circle of the Fujiwara bound
     2 max_k |c_{n-k}|**(1/k) and is accepted when every root meets the
-    backward-error bound |p(z)| <= tol * sum |c_k| |z|**k; conjugate
-    symmetry is enforced (coefficients are real).  Only if that fails is
-    the circle re-randomized, from `seed`, up to `restarts` times.  Raises
-    RootFindingError with the backward errors as residuals otherwise, and
-    ValueError for a coefficient beyond float range.
+    backward-error bound |p(z)| <= tol * sum |c_k| |z|**k once its roots
+    are made conjugate-symmetric (_pair_conjugates; the coefficients are
+    real).  Only if that fails, or the roots off the real axis do not split
+    evenly between the half-planes, is the circle re-randomized, from
+    `seed`, up to `restarts` times.  Raises RootFindingError with the
+    backward errors as residuals otherwise, and ValueError for a
+    coefficient beyond float range.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -164,10 +166,10 @@ def _factor_roots(f: tuple[int, ...], tol: float, max_iterations: int,
             jitter, radius = rng.random(), fujiwara * (0.5 + rng.random())
         zs = [radius * cmath.exp(2j * math.pi * (k + jitter) / deg) for k in range(deg)]
         _aberth(cf, zs, max_iterations)
-        zs = _enforce_conjugate_symmetry(zs)
-        residuals = [_backward_error(cf, z) for z in zs]
-        if all(r <= tol for r in residuals):
-            return zs
+        paired = _pair_conjugates(zs)
+        residuals = [_backward_error(cf, z) for z in paired or zs]
+        if paired and all(r <= tol for r in residuals):
+            return paired
     raise RootFindingError("root iteration did not converge", sorted(residuals))
 
 
@@ -219,38 +221,24 @@ def _aberth(cf: list[float], zs: list[complex], max_iterations: int) -> None:
         live = moving
 
 
-def _enforce_conjugate_symmetry(ws: list[complex]) -> list[complex]:
-    """Snap near-real roots to the real axis and pair the rest as exact
-    conjugates (valid for real-coefficient input)."""
-    out: list[complex] = []
-    pending: list[complex] = []
+def _pair_conjugates(ws: list[complex]) -> list[complex] | None:
+    """Snap near-real roots to the real axis and average each upper root
+    with the lower root nearest its conjugate into an exact conjugate pair
+    (valid for real-coefficient input); None if the halves differ in size."""
+    out, upper, lower = [], [], []
     for w in ws:
         if abs(w.imag) <= 1e-9 * (1.0 + abs(w)):
             out.append(complex(w.real, 0.0))
         else:
-            pending.append(w)
-    pending.sort(key=lambda z: (z.real, abs(z.imag), z.imag))
-    used = [False] * len(pending)
-    for i, w in enumerate(pending):
-        if used[i]:
-            continue
-        best, best_d = -1, math.inf
-        for j in range(i + 1, len(pending)):
-            if used[j] or (w.imag > 0) == (pending[j].imag > 0):
-                continue
-            d = abs(w - pending[j].conjugate())
-            if d < best_d:
-                best, best_d = j, d
-        if best < 0:
-            # unpaired stray; keep as-is and let the residual check decide
-            out.append(w)
-            used[i] = True
-            continue
-        mate = pending[best]
+            (upper if w.imag > 0 else lower).append(w)
+    if len(upper) != len(lower):
+        return None
+    for w in upper:
+        mate = min(lower, key=lambda v: abs(w - v.conjugate()))
+        lower.remove(mate)
         re = 0.5 * (w.real + mate.real)
         im = 0.5 * (abs(w.imag) + abs(mate.imag))
         out.extend([complex(re, im), complex(re, -im)])
-        used[i] = used[best] = True
     return out
 
 

@@ -138,7 +138,7 @@ def test_c2_s3_ladder_slope_and_ratio():
         m = max(abs(corr_fast(3, h, X)) for h in range(3))
         samples.append((X, float(m)))
         worst_ratio = max(worst_ratio, m / math.sqrt(X))
-    fit = fit_exponent(SumLadder(label="max_h |S3|", samples=tuple(samples)))
+    fit = fit_exponent(SumLadder(samples=tuple(samples)))
     assert fit.slope <= 0.55, fit
     # calibrated single-constant bound for max_h |S3| / sqrt(X)
     assert worst_ratio <= 1.25, worst_ratio
@@ -154,7 +154,7 @@ def test_c3_s5_ladder_slope_and_spectral_exponent():
         X = 2 ** k
         m = max(abs(corr_fast(5, l, X)) for l in range(5))
         samples.append((X, float(m)))
-    fit = fit_exponent(SumLadder(label="max_l |S5|", samples=tuple(samples)))
+    fit = fit_exponent(SumLadder(samples=tuple(samples)))
     assert fit.slope <= 0.66, fit
     rep = spectral_report(build_transfer(5))
     assert abs(rep.exponent - 0.60538) <= 1e-4, rep.exponent
@@ -203,8 +203,7 @@ def test_c5_main_term_deviations():
             worst = max(count_classes_fast(q, r, Xk).max_abs_deviation()
                         for r in range(q))
             samples.append((Xk, worst))
-        fit = fit_exponent(SumLadder(label=f"q={q} deviations",
-                                     samples=tuple(samples)))
+        fit = fit_exponent(SumLadder(samples=tuple(samples)))
         assert fit.slope <= 0.80, (q, fit)
         slopes[q] = fit.slope
     _announce("C5", f"X=2^24 cells within X^0.85; deviation slopes "
@@ -241,15 +240,14 @@ def test_c7_expsum_calibration_and_grid():
         assert abs(modulus - target) <= 1e-6 * target, k
         if k >= 8:
             samples.append((2 ** k, modulus))
-    fit = fit_exponent(SumLadder(label="|S(1/3)|", samples=tuple(samples)))
+    fit = fit_exponent(SumLadder(samples=tuple(samples)))
     assert abs(fit.slope - 0.7924818) <= 1e-3, fit
 
     grid_samples = []
     for k in range(10, 31):
         X = 2 ** k
         grid_samples.append((X, scan_alpha(X, 1024).max_modulus))
-    grid_fit = fit_exponent(SumLadder(label="grid max |S|",
-                                      samples=tuple(grid_samples)))
+    grid_fit = fit_exponent(SumLadder(samples=tuple(grid_samples)))
     assert grid_fit.slope <= GELFOND_LAMBDA + 0.02, grid_fit
     _announce("C7", f"|S(1/3, 2^k)| = 3^(k/2) to 1e-6, slope "
                     f"{fit.slope:.7f}; grid slope {grid_fit.slope:.3f} "

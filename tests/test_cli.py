@@ -31,6 +31,10 @@ def test_parse_ladder_errors():
         parse_ladder("2^8..2^4")
     with pytest.raises(ValueError):
         parse_ladder("2^4..2^8:0")
+    with pytest.raises(ValueError, match="ladder points must be nonnegative"):
+        parse_ladder("-5")
+    with pytest.raises(ValueError, match="ladder points must be nonnegative"):
+        parse_ladder("-5..-5")
 
 
 def test_eps_command(capsys):

@@ -90,11 +90,21 @@ def test_extension_tables_equal_direct_loop(q):
     # the alphabet 0..R, R >= q-1, is closed under s -> s//2, (q+s)//2, so the
     # engine gives the exploratory shifts r >= q exactly
     R = 2 * q + 3
-    tables = count_tables(q, range(200), size=R + 1)
+    tables = count_tables(q, range(200), range(R + 1))
     for X in range(200):
         assert len(tables[X]) == R + 1
         for r in range(R + 1):
             assert tables[X][r] == count_classes_naive(q, r, X, extension=True), (q, r, X)
+
+
+def test_tables_of_the_asked_shifts_only():
+    tables = count_tables(5, [0, 7, 2 ** 70], [3, 9])
+    for X, by_shift in tables.items():
+        assert list(by_shift) == [3, 9]
+        assert by_shift[3] == count_classes_fast(5, 3, X)
+    assert tables[7][9] == count_classes_naive(5, 9, 7, extension=True)
+    with pytest.raises(ValueError, match="nonnegative"):
+        count_tables(5, [7], [-1])
 
 
 @pytest.mark.parametrize("q", [1, 3, 5, 63])

@@ -11,7 +11,7 @@ from tmcorr.report import fit_record
 
 
 def _ladder(values):
-    return SumLadder(label="t", samples=tuple(values))
+    return SumLadder(samples=tuple(values))
 
 
 def test_fit_exact_square_root():
@@ -61,9 +61,9 @@ def test_fit_validation():
 
 def test_ladder_requires_increasing_X():
     with pytest.raises(ValueError):
-        SumLadder(label="bad", samples=((8, 1.0), (4, 2.0)))
+        SumLadder(samples=((8, 1.0), (4, 2.0)))
     with pytest.raises(ValueError):
-        SumLadder(label="bad", samples=((4, 1.0), (4, 2.0)))
+        SumLadder(samples=((4, 1.0), (4, 2.0)))
 
 
 def _cli_stdout(capsys, *argv):

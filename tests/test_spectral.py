@@ -278,12 +278,60 @@ def test_roots_coefficient_beyond_float_range_is_refused():
         assert info.value.residuals
 
 
+def _shared_real_part_products(count, seed):
+    # (x - a)^2 + b^2 for two or three b and one a: all roots a +- bi lie on
+    # one vertical line, where pairing by sorted real parts goes wrong
+    rng = random.Random(seed)
+    for _ in range(count):
+        a, coeffs = rng.randint(-5, 5), [1]
+        for b in rng.sample(range(1, 8), rng.randint(2, 3)):
+            coeffs = _poly_mul(coeffs, [a * a + b * b, -2 * a, 1])
+        yield tuple(coeffs)
+
+
 def test_roots_conjugate_symmetry():
     p = MonicIntPolynomial(coeffs=(3, 1, -2, 0, 1))
     zs = roots(p)
     conj = sorted((z.conjugate() for z in zs), key=lambda z: (z.real, z.imag))
     assert all(abs(a - b) == 0 for a, b in
                zip(sorted(zs, key=lambda z: (z.real, z.imag)), conj))
+    transfer = [char_poly(build_transfer(q).transfer).coeffs for q in range(3, 64, 2)]
+    products = list(_shared_real_part_products(300, 2026))
+    for coeffs in transfer + products:
+        zs = roots(MonicIntPolynomial(coeffs=coeffs))
+        conj = sorted((z.conjugate() for z in zs), key=lambda z: (z.real, z.imag))
+        assert zs == conj, coeffs
+    near = lambda z: (round(z.real, 6), round(z.imag, 6))
+    for coeffs in products:
+        mine = sorted(roots(MonicIntPolynomial(coeffs=coeffs)), key=near)
+        ref = sorted(map(complex, np.roots(coeffs[::-1])), key=near)
+        assert len(mine) == len(ref)
+        assert all(abs(a - b) <= 1e-9 for a, b in zip(mine, ref)), (coeffs, mine, ref)
+
+
+def test_roots_refuse_an_unbalanced_conjugate_split(monkeypatch):
+    # (x - 1)(x^2 + 2x + 5); flipping the lower root into the upper half-plane
+    # leaves one root twice and its conjugate never: that attempt must fail
+    p = MonicIntPolynomial(coeffs=(-5, 3, 1, 1))
+    want = [complex(-1, -2), complex(-1, 2), 1 + 0j]
+    true_aberth = tmcorr.spectral._aberth
+    flips = []
+
+    def flip_lower_root(cf, zs, max_iterations):
+        true_aberth(cf, zs, max_iterations)
+        if len(flips) < flips_allowed:
+            i = min(range(len(zs)), key=lambda i: zs[i].imag)
+            zs[i] = zs[i].conjugate()
+            flips.append(i)
+
+    monkeypatch.setattr(tmcorr.spectral, "_aberth", flip_lower_root)
+    flips_allowed = math.inf
+    with pytest.raises(RootFindingError):
+        roots(p, restarts=0)
+    flips_allowed = len(flips) + 1                # the first attempt only
+    zs = roots(p)
+    assert len(flips) == 2 and len(zs) == 3
+    assert all(abs(z - w) <= 1e-12 for z, w in zip(zs, want)), zs
 
 
 def test_roots_sum_and_product_match_trace_and_det():
