@@ -14,7 +14,7 @@ import sys
 
 from .digitseq import eps, class_of
 from .correlation import corr_naive, build_transfer, shift_vectors
-from .spectral import DEFAULT_SEED, RootFindingError, spectral_report
+from .spectral import DEFAULT_SEED, MAX_DIM, RootFindingError, spectral_report
 from .expsum import RationalPhase, scan_alpha
 from .counting import count_tables, count_adjacent_fast
 from .report import SumLadder, emit, fit_exponent, fit_record, round12
@@ -106,6 +106,8 @@ def cmd_corr(args) -> str:
 def cmd_eigen(args) -> str:
     if args.format == "csv":
         raise ValueError("eigen output is json only")
+    if args.q > MAX_DIM:                       # before the dense q x q transfer exists
+        raise ValueError(f"dimension {args.q} exceeds limit {MAX_DIM}")
     system = build_transfer(args.q)
     rep = spectral_report(system, seed=args.seed)
     payload = {

@@ -2,14 +2,14 @@
 
 Matrices are plain sequences of equal-length integer rows.  The
 characteristic polynomial is computed exactly by the Faddeev-LeVerrier
-trace recursion over Python integers; each step multiplies through the
-nonzero entries of each row only, so a transfer matrix (two +-1 entries
-per row) costs 2n^2 per step, not n^3.  The polynomial is split exactly
-into square-free factors (Yun's algorithm, with gcds by a primitive
-pseudo-remainder sequence over the integers and exact integer division),
-so root multiplicities are exact.  The simple roots of each factor are
-found numerically by Aberth-Ehrlich iteration (Bini 1996) on float copies
-of its coefficients, and accepted on a backward-error bound.  The spectral
+trace recursion over Python integers; each step combines the rows named by
+the nonzero entries of each row only, so a transfer matrix (two +-1 entries
+per row) costs n^2 additions per step, not n^3.  The polynomial is split
+exactly into square-free factors (Yun's algorithm, with integer gcds and
+exact division), so root multiplicities are exact.  The simple roots of each
+factor are found by Aberth-Ehrlich iteration (Bini 1996) on float copies of
+its coefficients, started on their Newton-polygon circles (restarts use
+Fujiwara-bound circles), and accepted on a backward-error bound.  The spectral
 radius of a correlation transfer matrix predicts the growth exponent
 log2(radius) of the correlation sums.
 """
@@ -61,11 +61,15 @@ def _nonzero_rows(A: IntMatrix) -> tuple[tuple[tuple[int, int], ...], ...]:
 
 
 def _row_combination(nonzero: tuple[tuple[int, int], ...], B) -> list[int]:
-    """sum(v * B[t]) over the nonzero (t, v) of one row: a row of A @ B."""
-    acc = [0] * len(B)
-    for t, v in nonzero:
-        acc = [a + v * b for a, b in zip(acc, B[t])]
-    return acc
+    """sum(v * B[t]) over the nonzero (t, v) of one row: a row of A @ B, in one pass."""
+    if len(nonzero) == 2:
+        (t, v), (u, w) = nonzero
+        if v == w == 1:
+            return [x + y for x, y in zip(B[t], B[u])]
+        if v == w == -1:
+            return [-x - y for x, y in zip(B[t], B[u])]
+        return [v * x + w * y for x, y in zip(B[t], B[u])]
+    return [sum(v * B[t][j] for t, v in nonzero) for j in range(len(B))]
 
 
 @dataclass(frozen=True)
@@ -129,15 +133,15 @@ def roots(p: MonicIntPolynomial, tol: float = 1e-8, max_iterations: int = 500,
     p is split into exact square-free factors (square_free_factors); the
     roots of each factor are found by Aberth-Ehrlich iteration and each is
     returned m times for a factor of multiplicity m, sorted by (re, im).
-    A factor's iteration starts on the circle of the Fujiwara bound
-    2 max_k |c_{n-k}|**(1/k) and is accepted when every root meets the
+    A factor's iteration starts on its Newton-polygon circles
+    (_newton_polygon_starts) and is accepted when every root meets the
     backward-error bound |p(z)| <= tol * sum |c_k| |z|**k once its roots
     are made conjugate-symmetric (_pair_conjugates; the coefficients are
     real).  Only if that fails, or the roots off the real axis do not split
-    evenly between the half-planes, is the circle re-randomized, from
-    `seed`, up to `restarts` times.  Raises RootFindingError with the
-    backward errors as residuals otherwise, and ValueError for a
-    coefficient beyond float range.
+    evenly between the half-planes, does it restart from `seed`, up to
+    `restarts` times, on a random circle of 0.5 to 1.5 times the Fujiwara
+    bound 2 max_k |c_{n-k}|**(1/k).  Raises RootFindingError with the
+    backward errors as residuals otherwise, and ValueError beyond float range.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -157,36 +161,54 @@ def _factor_roots(f: tuple[int, ...], tol: float, max_iterations: int,
     deg = len(cf) - 1
     if deg == 1:
         return [complex(-cf[0])]
+    terms = [(c, abs(c)) for c in reversed(cf)]
     fujiwara = 2.0 * max(abs(cf[deg - k]) ** (1.0 / k) for k in range(1, deg + 1))
     rng = random.Random(seed)
     for attempt in range(restarts + 1):
         if attempt == 0:
-            jitter, radius = 0.41, fujiwara
+            zs = _newton_polygon_starts(cf)
         else:
             jitter, radius = rng.random(), fujiwara * (0.5 + rng.random())
-        zs = [radius * cmath.exp(2j * math.pi * (k + jitter) / deg) for k in range(deg)]
+            zs = [radius * cmath.exp(2j * math.pi * (k + jitter) / deg) for k in range(deg)]
         _aberth(cf, zs, max_iterations)
         paired = _pair_conjugates(zs)
-        residuals = [_backward_error(cf, z) for z in paired or zs]
+        residuals = [_backward_error(terms, z) for z in paired or zs]
         if paired and all(r <= tol for r in residuals):
             return paired
     raise RootFindingError("root iteration did not converge", sorted(residuals))
 
 
-def _horner(cf: list[float], z: complex) -> tuple[complex, complex, float]:
-    """p(z), p'(z) and sum |c_k| |z|**k from float coefficients (ascending)."""
+def _newton_polygon_starts(cf: list[float]) -> list[complex]:
+    """Bini's starts: each edge k_i -> k_j of the upper hull of (k, log|c_k|), c_k != 0,
+    spaces k_j - k_i points on |z| = |c_{k_i} / c_{k_j}|**(1/(k_j - k_i)), turned by
+    2 pi k_i / deg so that no two coincide; a square-free factor's root 0 starts at 0."""
+    deg = len(cf) - 1
+    points = [(k, math.log(abs(c))) for k, c in enumerate(cf) if c]
+    i, y = points[0]
+    zs = [0j] * i
+    while i < deg:                  # next hull vertex: steepest chord, farthest on a tie
+        _, j, y = max(((b - y) / (k - i), k, b) for k, b in points if k > i)
+        radius = (abs(cf[i]) / abs(cf[j])) ** (1.0 / (j - i))
+        zs += [radius * cmath.exp(2j * math.pi * ((t + 0.41) / (j - i) + i / deg))
+               for t in range(j - i)]
+        i = j
+    return zs
+
+
+def _horner(terms: list[tuple[float, float]], z: complex) -> tuple[complex, complex, float]:
+    """p(z), p'(z) and sum |c_k| |z|**k from the (c_k, |c_k|), descending."""
     value = slope = 0j
     scale, r = 0.0, abs(z)
-    for c in reversed(cf):
+    for c, a in terms:
         slope = slope * z + value
         value = value * z + c
-        scale = scale * r + abs(c)
+        scale = scale * r + a
     return value, slope, scale
 
 
-def _backward_error(cf: list[float], z: complex) -> float:
+def _backward_error(terms: list[tuple[float, float]], z: complex) -> float:
     """|p(z)| / sum |c_k| |z|**k; inf when z or p(z) is not finite."""
-    value, _, scale = _horner(cf, z)
+    value, _, scale = _horner(terms, z)
     if not (math.isfinite(scale) and cmath.isfinite(value)):
         return math.inf
     return abs(value) / scale if scale else 0.0
@@ -199,12 +221,13 @@ def _aberth(cf: list[float], zs: list[complex], max_iterations: int) -> None:
     (Gauss-Seidel); it freezes once its backward error is at rounding
     level, and the iteration ends when all are frozen.
     """
+    terms = [(c, abs(c)) for c in reversed(cf)]
     live = range(len(zs))
     for _ in range(max_iterations):
         moving = []
         for i in live:
             z = zs[i]
-            value, slope, scale = _horner(cf, z)
+            value, slope, scale = _horner(terms, z)
             if abs(value) <= FREEZE_BACKWARD_ERROR * scale:
                 continue
             sigma = 0j

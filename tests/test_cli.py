@@ -124,6 +124,21 @@ def test_eigen_root_finding_error_is_one_error_line(capsys, monkeypatch):
                    "residuals=[1e+28, 3e+99]\n")
 
 
+def test_eigen_refuses_a_too_large_q_before_building_it(capsys):
+    import tracemalloc
+
+    run_cli(capsys, "eigen", "3")                 # the parser is built once
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "eigen", "4097")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and out == ""
+    assert err == "error: dimension 4097 exceeds limit 64\n"
+    assert peak < 5 * 2 ** 20, peak
+
+
 def test_eigen_rejects_csv(capsys):
     code, _, err = run_cli(capsys, "eigen", "3", "--format", "csv")
     assert code == 1 and "json" in err

@@ -169,6 +169,33 @@ def test_char_poly_transfer_matches_bareiss_oracle():
         assert char_poly(M).coeffs == char_poly_bareiss_oracle(M), q
 
 
+def _two_entry_sign_matrix(rng, n):
+    """Rows with exactly two nonzeros, +1 +1, -1 -1, +1 -1 or 2 -3 in
+    either column order, and now and then a zero or a dense row."""
+    rows = []
+    for _ in range(n):
+        kind = rng.randrange(6) if n > 1 else rng.randrange(4, 6)
+        row = [0] * n
+        if kind < 4:
+            pair = ((1, 1), (-1, -1), (1, -1), (2, -3))[kind]
+            for t, v in zip(rng.sample(range(n), 2), pair):
+                row[t] = v
+        elif kind == 5:
+            row = [rng.randrange(-9, 10) for _ in range(n)]
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def test_char_poly_two_entry_rows_of_every_sign_match_bareiss_oracle():
+    # transfer rows are +1 +1 or -1 -1 only; mixed signs and other values
+    # take the row kernel's general two-entry branch
+    rng = random.Random(1313)
+    for n in range(1, 13):
+        for _ in range(4):
+            M = _two_entry_sign_matrix(rng, n)
+            assert char_poly(M).coeffs == char_poly_bareiss_oracle(M), M
+
+
 def _mat_mul(A, B):
     n = len(A)
     return tuple(tuple(sum(A[i][t] * B[t][j] for t in range(n))
@@ -332,6 +359,49 @@ def test_roots_refuse_an_unbalanced_conjugate_split(monkeypatch):
     zs = roots(p)
     assert len(flips) == 2 and len(zs) == 3
     assert all(abs(z - w) <= 1e-12 for z, w in zip(zs, want)), zs
+
+
+@pytest.mark.parametrize("coeffs", [
+    (0, -1, 0, 1),                  # x^3 - x: zero constant term
+    (0, -1, 0, 0, 0, 1),            # x^5 - x
+    (1, 0, 0, 0, 1),                # x^4 + 1: gaps
+    (1, 0, 0, 1, 0, 0, 1),          # x^6 + x^3 + 1: gaps, collinear hull points
+    (1, -1000, 1),                  # x^2 - 1000x + 1: two Newton-polygon circles
+])
+def test_roots_from_newton_polygon_starts_on_hard_patterns(coeffs, monkeypatch):
+    starts = []
+    true_aberth = tmcorr.spectral._aberth
+
+    def record_starts(cf, zs, max_iterations):
+        starts.append(list(zs))
+        true_aberth(cf, zs, max_iterations)
+
+    monkeypatch.setattr(tmcorr.spectral, "_aberth", record_starts)
+    deg = len(coeffs) - 1
+    zs = roots(MonicIntPolynomial(coeffs=coeffs), restarts=0)
+    assert len(starts) == 1 and len(set(starts[0])) == len(starts[0]) == deg
+    assert len(zs) == deg
+    conj = sorted((z.conjugate() for z in zs), key=lambda z: (z.real, z.imag))
+    assert zs == conj, zs
+    near = lambda z: (round(z.real, 6), round(z.imag, 6))
+    ref = sorted(map(complex, np.roots(coeffs[::-1])), key=near)
+    assert all(abs(a - b) <= 1e-9 for a, b in zip(sorted(zs, key=near), ref)), (zs, ref)
+
+
+def test_aberth_work_on_the_transfer_polynomials(monkeypatch):
+    # starts on twice the Fujiwara bound took 24,984 Horner evaluations here;
+    # the Newton-polygon starts take about a third of that
+    calls = []
+    true_horner = tmcorr.spectral._horner
+
+    def counted(terms, z):
+        calls.append(z)
+        return true_horner(terms, z)
+
+    monkeypatch.setattr(tmcorr.spectral, "_horner", counted)
+    for q in range(3, 64, 2):
+        roots(char_poly(build_transfer(q).transfer))
+    assert len(calls) <= 12_000, len(calls)
 
 
 def test_roots_sum_and_product_match_trace_and_det():
