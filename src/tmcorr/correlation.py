@@ -152,7 +152,8 @@ def build_transfer(q: int) -> CorrelationSystem:
 
     Row r is ``shift_rows(q)[r]``: sign at columns r//2 and (q+r)//2, i.e.
     +1 at r//2 and (q+r-1)//2 for even r, -1 at (r-1)//2 and (q+r)//2 for
-    odd r.
+    odd r.  Row q-1-r is row r reversed (the matrix is centrosymmetric),
+    which the spectral layer uses to halve its work.
     """
     if q < 3 or q % 2 == 0:
         raise ValueError("multiplier must be odd and >= 3")
@@ -166,4 +167,6 @@ def build_transfer(q: int) -> CorrelationSystem:
         if sorted(abs(v) for v in row if v) != [1, 1]:
             raise AssertionError(f"transfer row {r} is not a two-entry sign row: {row}")
         rows.append(tuple(row))
+    if any(rows[q - 1 - r] != row[::-1] for r, row in enumerate(rows)):
+        raise AssertionError(f"transfer matrix is not centrosymmetric: q={q}")
     return CorrelationSystem(q=q, transfer=tuple(rows), shifts=tuple(range(q)))

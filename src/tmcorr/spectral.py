@@ -11,7 +11,8 @@ factor are found by Aberth-Ehrlich iteration (Bini 1996) on float copies of
 its coefficients, started on their Newton-polygon circles (restarts use
 Fujiwara-bound circles), and accepted on a backward-error bound.  The spectral
 radius of a correlation transfer matrix predicts the growth exponent
-log2(radius) of the correlation sums.
+log2(radius) of the correlation sums; spectral_report finds it on the two
+half-size mirror blocks of that centrosymmetric matrix.
 """
 
 import cmath
@@ -19,7 +20,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby, zip_longest
+from itertools import zip_longest
 
 from .correlation import CorrelationSystem
 
@@ -42,7 +43,7 @@ class RootFindingError(RuntimeError):
 
 
 def _as_matrix(M) -> IntMatrix:
-    rows = tuple(tuple(row) for row in M)
+    rows = tuple([tuple(row) for row in M])   # tuple(generator) reallocates as it grows
     n = len(rows)
     if n == 0:
         raise ValueError("matrix must be nonempty")
@@ -57,11 +58,14 @@ def _as_matrix(M) -> IntMatrix:
 
 def _nonzero_rows(A: IntMatrix) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Per row, the (column, value) pairs of its nonzero entries."""
-    return tuple(tuple((t, v) for t, v in enumerate(row) if v) for row in A)
+    return tuple([tuple([(t, v) for t, v in enumerate(row) if v]) for row in A])
 
 
 def _row_combination(nonzero: tuple[tuple[int, int], ...], B) -> list[int]:
     """sum(v * B[t]) over the nonzero (t, v) of one row: a row of A @ B, in one pass."""
+    if len(nonzero) == 1:
+        (t, v), = nonzero
+        return [v * x for x in B[t]]
     if len(nonzero) == 2:
         (t, v), (u, w) = nonzero
         if v == w == 1:
@@ -338,6 +342,14 @@ def _derivative(a) -> list[int]:
     return [k * c for k, c in enumerate(a)][1:]
 
 
+def _poly_product(a, b) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
 def square_free_factors(coeffs) -> list[tuple[tuple[int, ...], int]]:
     """Exact square-free factorization of an integer polynomial (Yun).
 
@@ -367,6 +379,34 @@ def square_free_factors(coeffs) -> list[tuple[tuple[int, ...], int]]:
     return factors
 
 
+def _coprime_pieces(polys) -> list[tuple[tuple[int, ...], int]]:
+    """[(f, m)] with prod f**m == prod polys (monic), the f square-free and
+    pairwise coprime: each square-free factor of each input splits the pieces
+    so far along its gcds with them, so a shared root lies in one piece."""
+    pieces: list[tuple[tuple[int, ...], int]] = []
+    for p in polys:
+        for f, m in square_free_factors(p):
+            split = []
+            for g, n in pieces:
+                d = int_poly_gcd(f, g)
+                f, g = _exact_quotient(f, d), _exact_quotient(g, d)
+                split += [(d, m + n), (g, n)]
+            pieces = [(tuple(g), n) for g, n in split + [(f, m)] if len(g) > 1]
+    return pieces
+
+
+def _mirror_blocks(T: IntMatrix) -> tuple[list[list[int]], list[list[int]]]:
+    """(T+, T-) of a centrosymmetric T of odd order n = 2h + 1: T on the bases
+    e_k + e_{n-1-k} (k < h), e_h and e_k - e_{n-1-k} of its mirror-symmetric and
+    antisymmetric vectors, so det(xI - T) is their product (Cantoni-Butler 1976)."""
+    n, h = len(T), len(T) // 2
+    if n % 2 == 0 or any(list(T[n - 1 - i])[::-1] != list(row) for i, row in enumerate(T)):
+        raise ValueError("matrix is not centrosymmetric of odd order")
+    plus = [[row[k] + row[n - 1 - k] for k in range(h)] + [row[h]] for row in T[:h + 1]]
+    minus = [[row[k] - row[n - 1 - k] for k in range(h)] for row in T[:h]]
+    return plus, minus
+
+
 @dataclass(frozen=True)
 class SpectralReport:
     """Characteristic polynomial, spectrum with exact multiplicities, and
@@ -382,15 +422,20 @@ def spectral_report(system: CorrelationSystem, tol: float = 1e-8,
                     seed: int = DEFAULT_SEED) -> SpectralReport:
     """Spectrum of the transfer matrix and the exponent log2(spectral radius).
 
-    The roots come from roots (Aberth-Ehrlich on the exact square-free
-    factors of the characteristic polynomial), which repeats each root of
-    a factor of multiplicity m exactly m times, so the multiplicities are
-    exact.  RootFindingError is raised if two distinct roots cluster
+    The transfer matrix is centrosymmetric (ValueError otherwise), so its
+    characteristic polynomial is the exact product of those of its half-size
+    mirror blocks.  roots (Aberth-Ehrlich) runs once per square-free,
+    pairwise coprime piece of the two, so each distinct eigenvalue is found
+    once, with its exact multiplicity, even when both blocks have it.
+    RootFindingError is raised if two distinct roots cluster
     (cluster_roots), which means the iteration missed one, or if the radius
     exceeds the exact Gershgorin bound, the largest row abs-sum.
     """
-    p = char_poly(system.transfer)
-    spectrum = [(z, len(list(copies))) for z, copies in groupby(roots(p, tol=tol, seed=seed))]
+    halves = [char_poly(block).coeffs for block in _mirror_blocks(system.transfer)]
+    p = MonicIntPolynomial(coeffs=tuple(_poly_product(*halves)))
+    spectrum = sorted(((z, m) for f, m in _coprime_pieces(halves)
+                       for z in roots(MonicIntPolynomial(coeffs=f), tol=tol, seed=seed)),
+                      key=lambda zm: (zm[0].real, zm[0].imag))
     radius = max(abs(z) for z, _ in spectrum)
     gershgorin = max(sum(abs(v) for v in row) for row in system.transfer)
     if len(cluster_roots([z for z, _ in spectrum])) < len(spectrum):

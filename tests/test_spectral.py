@@ -196,6 +196,21 @@ def test_char_poly_two_entry_rows_of_every_sign_match_bareiss_oracle():
             assert char_poly(M).coeffs == char_poly_bareiss_oracle(M), M
 
 
+def test_char_poly_rows_of_zero_to_three_nonzeros_match_numpy():
+    # the mirror blocks of a transfer matrix each have one single-entry row
+    rng = random.Random(2024)
+    for n in range(1, 11):
+        for _ in range(6):
+            rows = []
+            for _ in range(n):
+                row = [0] * n
+                for t in rng.sample(range(n), min(n, rng.randrange(4))):
+                    row[t] = rng.choice((-2, -1, 1, 2, 3))
+                rows.append(tuple(row))
+            want = [round(c) for c in np.poly(np.array(rows, dtype=float))]
+            assert char_poly(rows).coeffs == tuple(reversed(want)), rows
+
+
 def _mat_mul(A, B):
     n = len(A)
     return tuple(tuple(sum(A[i][t] * B[t][j] for t in range(n))
@@ -605,6 +620,54 @@ def test_square_free_factors_of_transfer_polys():
         assert repeated == len(int_poly_gcd(p.coeffs, p.derivative_coeffs())) - 1
 
 
+def _check_pieces(polys):
+    pieces = tmcorr.spectral._coprime_pieces(polys)
+    product = [1]
+    for p in polys:
+        product = _poly_mul(product, list(p))
+    assert _rebuild(pieces) == tuple(product), pieces
+    for i, (f, _) in enumerate(pieces):
+        assert len(f) > 1 and f[-1] == 1, f
+        assert _is_one(fraction_gcd_oracle(f, _poly_deriv(f))), f
+        for g, _ in pieces[i + 1:]:
+            assert _is_one(fraction_gcd_oracle(f, g)), (f, g)
+    return sorted((tuple(f), m) for f, m in pieces)
+
+
+def test_coprime_pieces_of_hand_made_inputs():
+    x1, x2, c = [-1, 1], [2, 0, 1], [1, 1, 0, 1]          # x-1, x^2+2, x^3+x+1
+    # a factor shared across the inputs
+    assert _check_pieces([_poly_mul(x1, x2), _poly_mul(x1, c)]) == \
+        sorted([(tuple(x1), 2), (tuple(x2), 1), (tuple(c), 1)])
+    # a factor repeated in one input, and shared with the other
+    assert _check_pieces([_poly_mul(_power(x1, 2), c), _poly_mul(x1, x2)]) == \
+        sorted([(tuple(x1), 3), (tuple(x2), 1), (tuple(c), 1)])
+    assert _check_pieces([_power(x2, 3), x1]) == sorted([(tuple(x2), 3), (tuple(x1), 1)])
+    # coprime inputs, and a factor shared by three inputs with different powers
+    assert _check_pieces([x2, c]) == sorted([(tuple(x2), 1), (tuple(c), 1)])
+    assert _check_pieces([_poly_mul(x1, x2), _power(x1, 2), _poly_mul(x2, c)]) == \
+        sorted([(tuple(x1), 3), (tuple(x2), 2), (tuple(c), 1)])
+    # the 1 x 1 block of q = 3
+    plus, minus = tmcorr.spectral._mirror_blocks(build_transfer(3).transfer)
+    assert len(minus) == 1
+    _check_pieces([char_poly(plus).coeffs, char_poly(minus).coeffs])
+
+
+def test_coprime_pieces_of_planted_products():
+    # monic factors drawn from a small pool, so the inputs share some
+    rng = random.Random(616)
+    for _ in range(60):
+        pool = [[rng.randrange(-3, 4) for _ in range(rng.randrange(1, 3))] + [1]
+                for _ in range(3)]
+        polys = []
+        for _ in range(rng.randrange(1, 4)):
+            p = [1]
+            for g in rng.sample(pool, rng.randrange(1, 4)):
+                p = _poly_mul(p, _power(g, rng.randrange(1, 3)))
+            polys.append(p)
+        _check_pieces(polys)
+
+
 def test_int_poly_gcd():
     # gcd((x-1)^2 (x^3-x+2), derivative) = (x-1)
     p = MonicIntPolynomial(coeffs=(2, -5, 4, 0, -2, 1))
@@ -678,6 +741,68 @@ def test_spectral_report_deterministic():
     b = spectral_report(build_transfer(7))
     assert a.roots == b.roots and a.exponent == b.exponent
     assert a.radius > 1
+
+
+def test_transfer_mirror_blocks_multiply_to_the_full_polynomial():
+    # the full-matrix Faddeev-LeVerrier is the oracle for the block product
+    for q in range(3, 64, 2):
+        T = build_transfer(q).transfer
+        assert all(T[q - 1 - i][q - 1 - j] == T[i][j] for i in range(q) for j in range(q)), q
+        plus, minus = tmcorr.spectral._mirror_blocks(T)
+        assert (len(plus), len(minus)) == (q // 2 + 1, q // 2)
+        product = _poly_mul(list(char_poly(plus).coeffs), list(char_poly(minus).coeffs))
+        assert tuple(product) == char_poly(T).coeffs, q
+        assert spectral_report(build_transfer(q)).poly.coeffs == tuple(product), q
+
+
+def test_spectral_report_refuses_a_matrix_without_the_mirror_symmetry():
+    for transfer in (((1, 1, 0), (0, 1, 1), (1, 0, 0)), ((1, 0), (0, 1))):
+        system = tmcorr.CorrelationSystem(q=len(transfer), transfer=transfer,
+                                          shifts=tuple(range(len(transfer))))
+        with pytest.raises(ValueError, match="centrosymmetric"):
+            spectral_report(system)
+
+
+def _eigenvalue_one(q):
+    rep = spectral_report(build_transfer(q))
+    return [m for z, m in rep.roots if abs(z - 1) < 1e-6]
+
+
+@pytest.mark.parametrize("q", [7, 9, 15, 31, 33, 51, 63])
+def test_eigenvalue_one_in_both_blocks_is_listed_once(q):
+    T = build_transfer(q).transfer
+    assert _eigenvalue_one(q) == [2]
+    assert q - jordan_block_check(T, 1) == 2               # T is derogatory at 1
+    for block in tmcorr.spectral._mirror_blocks(T):        # one eigenvector in each
+        assert sum(char_poly(block).coeffs) == 0
+        assert len(block) - jordan_block_check(block, 1) == 1
+
+
+def test_eigenvalue_one_of_q5_lies_in_one_block():
+    T = build_transfer(5).transfer
+    plus, minus = tmcorr.spectral._mirror_blocks(T)
+    assert char_poly(minus).coeffs == (1, -2, 1)            # (x - 1)^2
+    assert sum(char_poly(plus).coeffs) != 0
+    assert _eigenvalue_one(5) == [2]
+    assert 5 - jordan_block_check(T, 1) == 1
+
+
+def test_char_poly_work_on_the_mirror_blocks(monkeypatch):
+    # the full q x q Faddeev-LeVerrier builds q^2 (q - 1) row elements;
+    # the two half-size blocks about a quarter of that
+    built = []
+    true_rows = tmcorr.spectral._row_combination
+
+    def counted(nonzero, B):
+        row = true_rows(nonzero, B)
+        built.append(len(row))
+        return row
+
+    monkeypatch.setattr(tmcorr.spectral, "_row_combination", counted)
+    for q in range(3, 64, 2):
+        spectral_report(build_transfer(q))
+    full = sum(q * q * (q - 1) for q in range(3, 64, 2))
+    assert sum(built) <= 0.3 * full, (sum(built), full)
 
 
 # --- power growth ------------------------------------------------------------
