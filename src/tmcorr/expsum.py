@@ -5,6 +5,12 @@
 Phases are kept as reduced fractions so that the prefix walk can double
 alpha exactly (integer arithmetic mod 1); repeatedly doubling a
 floating-point phase would lose the phase entirely after ~50 levels.
+
+eps is real, so f(X, 1 - alpha) is the conjugate of f(X, alpha).  The roots
+of unity are exactly conjugate-symmetric (e((q-p)/q) is the conjugate of
+e(p/q), and e(1/2) is exactly -1), and complex * and - commute with
+conjugation, so the two mirror sums are bitwise conjugates and have the same
+modulus: a phase scan walks only p <= grid/2.
 """
 
 import cmath
@@ -14,13 +20,25 @@ from dataclasses import dataclass
 
 from .digitseq import NAIVE_LIMIT, check_naive_limit, eps   # NAIVE_LIMIT: re-exported
 MAX_PRODUCT_LEVELS = 50
+MAX_GRID = 2**20   # a scan keeps about 130 B per grid point in memory
 _TWO_PI = 2.0 * math.pi
 
 
 def _cis(p: int, q: int) -> complex:
-    """e^{2 pi i p/q} from the reduced p/q mod 1: equal phases, equal floats."""
+    """e^{2 pi i p/q} from the reduced p/q mod 1: equal phases, equal floats.
+
+    Computed at the lower of the mirror phases p/q and (q-p)/q and conjugated
+    for the upper one, so _cis(q-p, q) is exactly _cis(p, q).conjugate(); the
+    self-mirror phase 1/2 gives exactly -1 (e^{i pi} in floats has imaginary
+    part 1.2e-16).
+    """
     g = math.gcd(p, q)
-    return cmath.exp(1j * _TWO_PI * (p % q // g) / (q // g))
+    p, q = p % q // g, q // g
+    if 2 * p < q:
+        return cmath.exp(1j * _TWO_PI * p / q)
+    if 2 * p == q:
+        return -1 + 0j
+    return cmath.exp(1j * _TWO_PI * (q - p) / q).conjugate()
 
 
 @dataclass(frozen=True)
@@ -109,7 +127,7 @@ def product_formula(alpha: RationalPhase, k: int) -> complex:
 
 @dataclass(frozen=True)
 class ScanResult:
-    """Maximum modulus of f(X, p/grid) over p = 1..grid-1."""
+    """Maximum modulus of f(X, p/grid) over p = 1..grid-1 (attained at p <= grid/2)."""
 
     X: int
     grid: int
@@ -118,16 +136,24 @@ class ScanResult:
 
 
 def scan_alpha(X: int, grid: int) -> ScanResult:
-    """Phase scan in one prefix walk over p/grid, p = 1..grid-1; ties keep the lowest p."""
+    """Phase scan over p/grid, p = 1..grid-1; ties keep the lowest p.
+
+    One prefix walk over the lower half p = 1..grid//2 only: f(X, (grid-p)/grid)
+    is bitwise the conjugate of f(X, p/grid), so its modulus is the same float
+    and the lowest p of every tie (and of every sum that is not finite) lies
+    in the lower half.  The cost is grid//2 x bitlen(X) complex steps.
+    """
     if grid < 2:
         raise ValueError("grid must be >= 2")
+    if grid > MAX_GRID:
+        raise ValueError(f"phase grid refused for grid > {MAX_GRID}")
     cis = [_cis(j, grid) for j in range(grid)]   # e(j/grid) once per residue j
-    ps = range(1, grid)
+    ps = range(1, grid // 2 + 1)
 
     def level(k):   # the level-k phase of p/grid is the residue p 2^k mod grid
         t = pow(2, k, grid)
         return [cis[p * t % grid] for p in ps]
 
-    mods = [abs(_finite(f, p, grid, X)) for p, f in zip(ps, _walk(X, grid - 1, level))]
+    mods = [abs(_finite(f, p, grid, X)) for p, f in zip(ps, _walk(X, len(ps), level))]
     best = mods.index(max(mods))
     return ScanResult(X=X, grid=grid, max_modulus=mods[best], argmax_p=best + 1)

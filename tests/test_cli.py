@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from tmcorr.cli import EXTENSION_LIMIT, main, parse_ladder
+from tmcorr.expsum import MAX_GRID
 
 
 def run_cli(capsys, *argv):
@@ -214,6 +215,12 @@ def test_scan_example(capsys):
     assert code == 0
     row = out.strip().split("\n")[1].split(",")
     assert row[2] == "6561" and row[3] == "1"
+
+
+def test_scan_grid_above_limit_is_one_error_line(capsys):
+    code, out, err = run_cli(capsys, "scan", "16", str(MAX_GRID + 1))
+    assert code == 1 and out == ""
+    assert err == f"error: phase grid refused for grid > {MAX_GRID}\n"
 
 
 def test_fit_round_trip(tmp_path, capsys):

@@ -1,13 +1,15 @@
 import cmath
 import math
 import random
+import tracemalloc
 
 import pytest
 
 from tmcorr import (RationalPhase, ScanResult, expsum_fast, expsum_naive,
                     product_formula, scan_alpha)
+import tmcorr.expsum
 from tmcorr.digitseq import eps
-from tmcorr.expsum import NAIVE_LIMIT
+from tmcorr.expsum import MAX_GRID, NAIVE_LIMIT, _cis
 
 
 def test_phase_normalization():
@@ -121,6 +123,25 @@ def test_scan_validation():
         scan_alpha(16, 1)
 
 
+def test_scan_refuses_grid_above_limit_before_any_table():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"grid > {MAX_GRID}"):
+            scan_alpha(16, MAX_GRID + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000, peak   # the table alone would be about 40 MB
+
+
+def test_cis_mirror_is_exact_conjugate():
+    for q in (1, 2, 3, 4, 5, 7, 12, 17, 64, 97, 360, 1000, 10 ** 30 + 57):
+        for p in (range(q + 1) if q < 2000 else (0, 1, 2, q // 3, q // 2, q - 1, q)):
+            assert _cis(q - p, q) == _cis(p, q).conjugate(), (p, q)
+        assert _cis(0, q) == 1
+    assert _cis(1, 2) == -1 and _cis(3, 6) == -1 and _cis(5, 2) == -1
+
+
 def _scan_reference(X: int, grid: int) -> ScanResult:
     """max_p |expsum_fast(p/grid, X)| over p = 1..grid-1, lowest p on ties."""
     best_mod, best_p = -1.0, 1
@@ -145,6 +166,35 @@ def test_scan_equals_max_of_expsum_fast(grid):
     # floats that expsum_fast gets from each reduced phase
     for X in list(range(301)) + DEEP_X[::4 * grid]:
         assert scan_alpha(X, grid) == _scan_reference(X, grid), (X, grid)
+
+
+MIRROR_GRIDS = (2, 3, 4, 7, 12, 64, 360)
+
+
+@pytest.mark.parametrize("grid", MIRROR_GRIDS)
+def test_fast_mirror_phases_are_exact_conjugates(grid):
+    # f(X, 1 - alpha) is conj f(X, alpha) bit for bit, which is what lets the
+    # scan walk only p <= grid/2
+    for X in list(range(301)) + DEEP_X[::4 * grid]:
+        for p in range(grid // 2 + 1):
+            f = expsum_fast(RationalPhase(p, grid), X)
+            assert expsum_fast(RationalPhase(grid - p, grid), X) == f.conjugate(), (X, p, grid)
+
+
+def test_scan_walks_only_the_lower_half(monkeypatch):
+    widths = []
+    true_walk = tmcorr.expsum._walk
+
+    def counted(X, width, level):
+        widths.append(width)
+        return true_walk(X, width, level)
+
+    monkeypatch.setattr(tmcorr.expsum, "_walk", counted)
+    for grid in range(2, 65):
+        for X in (0, 1, 1000, 2 ** 40 + 12345):
+            widths.clear()
+            assert scan_alpha(X, grid).argmax_p <= grid // 2, (X, grid)
+            assert widths == [grid // 2], (X, grid)
 
 
 def test_scan_not_finite_names_lowest_failing_phase():
