@@ -21,12 +21,14 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
+from operator import add, neg, sub
 
 from .correlation import CorrelationSystem
 
 MAX_DIM = 64
 MAX_POWER_STEPS = 80
 DEFAULT_SEED = 12345
+MAX_ITERATIONS, RESTARTS = 500, 3    # Aberth budget of roots and spectral_report
 # a root stops moving once |p(z)| <= this * sum |c_k| |z|**k: about twice
 # the machine epsilon, below which Horner's own rounding decides the value
 FREEZE_BACKWARD_ERROR = 4e-16
@@ -62,16 +64,21 @@ def _nonzero_rows(A: IntMatrix) -> tuple[tuple[tuple[int, int], ...], ...]:
 
 
 def _row_combination(nonzero: tuple[tuple[int, int], ...], B) -> list[int]:
-    """sum(v * B[t]) over the nonzero (t, v) of one row: a row of A @ B, in one pass."""
+    """sum(v * B[t]) over the nonzero (t, v) of one row: a row of A @ B, in one
+    pass; one-entry and +-1 two-entry rows (all transfer-block rows) use map."""
     if len(nonzero) == 1:
         (t, v), = nonzero
-        return [v * x for x in B[t]]
+        return list(map(v.__mul__, B[t]))
     if len(nonzero) == 2:
         (t, v), (u, w) = nonzero
         if v == w == 1:
-            return [x + y for x, y in zip(B[t], B[u])]
+            return list(map(add, B[t], B[u]))
         if v == w == -1:
-            return [-x - y for x, y in zip(B[t], B[u])]
+            return list(map(neg, map(add, B[t], B[u])))
+        if v == -w == 1:
+            return list(map(sub, B[t], B[u]))
+        if w == -v == 1:
+            return list(map(sub, B[u], B[t]))
         return [v * x + w * y for x, y in zip(B[t], B[u])]
     return [sum(v * B[t][j] for t, v in nonzero) for j in range(len(B))]
 
@@ -130,8 +137,8 @@ def char_poly(M) -> MonicIntPolynomial:
     return MonicIntPolynomial(coeffs=tuple(reversed(coeffs_desc)))
 
 
-def roots(p: MonicIntPolynomial, tol: float = 1e-8, max_iterations: int = 500,
-          restarts: int = 3, seed: int = DEFAULT_SEED) -> list[complex]:
+def roots(p: MonicIntPolynomial, tol: float = 1e-8, max_iterations: int = MAX_ITERATIONS,
+          restarts: int = RESTARTS, seed: int = DEFAULT_SEED) -> list[complex]:
     """All complex roots of p, each repeated by its exact multiplicity.
 
     p is split into exact square-free factors (square_free_factors); the
@@ -147,8 +154,6 @@ def roots(p: MonicIntPolynomial, tol: float = 1e-8, max_iterations: int = 500,
     bound 2 max_k |c_{n-k}|**(1/k).  Raises RootFindingError with the
     backward errors as residuals otherwise, and ValueError beyond float range.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     zs: list[complex] = []
     for f, m in square_free_factors(p.coeffs):      # monic: no constant factor
         zs.extend(_factor_roots(f, tol, max_iterations, restarts, seed) * m)
@@ -158,6 +163,8 @@ def roots(p: MonicIntPolynomial, tol: float = 1e-8, max_iterations: int = 500,
 def _factor_roots(f: tuple[int, ...], tol: float, max_iterations: int,
                   restarts: int, seed: int) -> list[complex]:
     """Roots of one monic square-free factor; see roots."""
+    if tol <= 0:
+        raise ValueError("tol must be positive")
     try:
         cf = [float(c) for c in f]
     except OverflowError:
@@ -271,16 +278,17 @@ def _pair_conjugates(ws: list[complex]) -> list[complex] | None:
 
 def cluster_roots(zs: list[complex], tol: float = 1e-6) -> list[tuple[complex, int]]:
     """Group numerically coincident roots into (center, multiplicity) pairs."""
-    clusters: list[list[complex]] = []
+    clusters: list[list] = []   # [center, sum from 0 + z as in sum(), count]
     for z in sorted(zs, key=lambda z: (z.real, z.imag)):
-        for members in clusters:
-            center = sum(members) / len(members)
+        for cluster in clusters:
+            center, total, count = cluster
             if abs(z - center) <= tol * (1.0 + abs(center)):
-                members.append(z)
+                total += z
+                cluster[:] = total / (count + 1), total, count + 1
                 break
         else:
-            clusters.append([z])
-    return [(sum(ms) / len(ms), len(ms)) for ms in clusters]
+            clusters.append([(0 + z) / 1, 0 + z, 1])
+    return [(center, count) for center, _, count in clusters]
 
 
 def _primitive(p) -> list[int]:
@@ -424,9 +432,9 @@ def spectral_report(system: CorrelationSystem, tol: float = 1e-8,
 
     The transfer matrix is centrosymmetric (ValueError otherwise), so its
     characteristic polynomial is the exact product of those of its half-size
-    mirror blocks.  roots (Aberth-Ehrlich) runs once per square-free,
-    pairwise coprime piece of the two, so each distinct eigenvalue is found
-    once, with its exact multiplicity, even when both blocks have it.
+    mirror blocks.  Aberth-Ehrlich (_factor_roots, as in roots) runs once per
+    square-free, pairwise coprime piece of the two, so each distinct eigenvalue
+    is found once, with its exact multiplicity, even when both blocks have it.
     RootFindingError is raised if two distinct roots cluster
     (cluster_roots), which means the iteration missed one, or if the radius
     exceeds the exact Gershgorin bound, the largest row abs-sum.
@@ -434,10 +442,10 @@ def spectral_report(system: CorrelationSystem, tol: float = 1e-8,
     halves = [char_poly(block).coeffs for block in _mirror_blocks(system.transfer)]
     p = MonicIntPolynomial(coeffs=tuple(_poly_product(*halves)))
     spectrum = sorted(((z, m) for f, m in _coprime_pieces(halves)
-                       for z in roots(MonicIntPolynomial(coeffs=f), tol=tol, seed=seed)),
+                       for z in _factor_roots(f, tol, MAX_ITERATIONS, RESTARTS, seed)),
                       key=lambda zm: (zm[0].real, zm[0].imag))
     radius = max(abs(z) for z, _ in spectrum)
-    gershgorin = max(sum(abs(v) for v in row) for row in system.transfer)
+    gershgorin = max(sum(map(abs, row)) for row in system.transfer)
     if len(cluster_roots([z for z, _ in spectrum])) < len(spectrum):
         problem = "distinct roots cluster"
     elif radius > gershgorin * (1 + tol):    # slack for the rounding of radius

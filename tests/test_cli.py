@@ -114,10 +114,10 @@ def test_eigen_root_finding_error_is_one_error_line(capsys, monkeypatch):
     import tmcorr.spectral
     from tmcorr import RootFindingError
 
-    def failing(p, **kwargs):
+    def failing(f, tol, max_iterations, restarts, seed):
         raise RootFindingError("root iteration did not converge", [1e28, 3e99])
 
-    monkeypatch.setattr(tmcorr.spectral, "roots", failing)
+    monkeypatch.setattr(tmcorr.spectral, "_factor_roots", failing)
     code, out, err = run_cli(capsys, "eigen", "9", "--seed", "4")
     assert code == 1
     assert out == ""

@@ -4,10 +4,11 @@ Each case runs the CLI in-process and compares stdout with
 ``tests/golden/<name>.txt`` byte for byte.  The files pin the output of
 `corr` and `count` ladders reaching 2^256, single raw points, both
 formats, `--naive-check`, `--extension`, scans at a power of two, at a
-random 180-bit X, at a fixed 1000-bit X and over a 1000-point grid, `eps`, `eigen` spectra, `adjacent` tables with and
-without a deviation fit and up to 2^64, and `fit` over the committed
-`corr`/`count` CSVs, so any change to the engines or the serializer behind
-the CLI must keep every byte.
+random 180-bit X, at a fixed 1000-bit X and over a 1000-point grid, `eps`,
+`eigen` spectra up to q = 63 (including the rounding noise in `re` of its
+roots +-i), `adjacent` tables with and without a deviation fit and up to
+2^64, and `fit` over the committed `corr`/`count` CSVs, so any change to the
+engines or the serializer behind the CLI must keep every byte.
 
 After an intended output change, rewrite the files with
 
@@ -61,6 +62,7 @@ CASES = {
     "eigen_q9": ["eigen", "9"],
     "eigen_q15": ["eigen", "15"],
     "eigen_q31": ["eigen", "31"],
+    "eigen_q63": ["eigen", "63"],
     "adjacent_fit_csv": ["adjacent", "2^8..2^14:2"],
     "adjacent_fit_json": ["adjacent", "2^8..2^14:2", "--format", "json"],
     "adjacent_two_csv": ["adjacent", "2^10..2^12:2"],

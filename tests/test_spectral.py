@@ -187,7 +187,8 @@ def _two_entry_sign_matrix(rng, n):
 
 
 def test_char_poly_two_entry_rows_of_every_sign_match_bareiss_oracle():
-    # transfer rows are +1 +1 or -1 -1 only; mixed signs and other values
+    # the mirror block T+ has +1 +1 and -1 -1 rows, T- has +1 -1 and -1 +1
+    # rows (465 of the 1,023 block rows over odd q <= 63); other values
     # take the row kernel's general two-entry branch
     rng = random.Random(1313)
     for n in range(1, 13):
@@ -450,6 +451,53 @@ def test_roots_rejects_bad_tol():
 def test_cluster_roots_groups_near_duplicates():
     clusters = cluster_roots([1 + 0j, 1 + 1e-9j, 2 + 0j])
     assert sorted(m for _, m in clusters) == [1, 2]
+
+
+def _cluster_roots_oracle(zs, tol=1e-6):
+    """cluster_roots as a list of members per cluster, its center recomputed
+    at every comparison, each sum written as left-to-right + from 0."""
+    def mean(members):
+        total = 0
+        for z in members:
+            total = total + z
+        return total / len(members)
+
+    clusters = []
+    for z in sorted(zs, key=lambda z: (z.real, z.imag)):
+        for members in clusters:
+            center = mean(members)
+            if abs(z - center) <= tol * (1.0 + abs(center)):
+                members.append(z)
+                break
+        else:
+            clusters.append([z])
+    return [(mean(ms), len(ms)) for ms in clusters]
+
+
+def test_cluster_roots_centers_match_the_member_list_oracle_bitwise():
+    rng = random.Random(4242)
+    largest = 0
+    for _ in range(200):
+        zs = []
+        for _ in range(rng.randrange(1, 9)):
+            z = complex(rng.choice((0.0, -0.0, rng.gauss(0, 1))),
+                        rng.choice((0.0, -0.0, rng.gauss(0, 1))))
+            kind = rng.randrange(4)
+            group = [z]
+            if kind == 0:                          # exact duplicates
+                group *= rng.randrange(2, 5)
+            elif kind == 1:                        # near-duplicates at 1e-9
+                group += [z + 1e-9 * complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                          for _ in range(rng.randrange(1, 5))]
+            elif kind == 2:                        # a conjugate pair
+                group.append(z.conjugate())
+            zs += group
+        rng.shuffle(zs)
+        want = _cluster_roots_oracle(zs)
+        got = cluster_roots(zs)
+        assert got == want and repr(got) == repr(want), zs
+        largest = max(largest, max(m for _, m in got))
+    assert largest >= 4
 
 
 def _poly_divmod(a, b):
@@ -718,22 +766,50 @@ def test_spectral_report_seed_matters_only_on_restart():
 
 
 def test_spectral_report_rejects_clustered_and_out_of_bound_roots(monkeypatch):
-    true_roots = roots
+    true_factor_roots = tmcorr.spectral._factor_roots
     system = build_transfer(5)
+    key = lambda z: (z.real, z.imag)
 
-    def clustered(p, **kwargs):                   # two distinct roots 1e-9 apart
-        zs = true_roots(p, **kwargs)
-        return sorted(zs + [zs[0] + 1e-9], key=lambda z: (z.real, z.imag))[:-1]
+    def clustered(f, tol, max_iterations, restarts, seed):   # two distinct roots 1e-9 apart
+        zs = sorted(true_factor_roots(f, tol, max_iterations, restarts, seed), key=key)
+        return sorted(zs + [zs[0] + 1e-9], key=key)[:-1]
 
-    def scaled(p, **kwargs):                      # radius 3.04 > Gershgorin 2
-        return [2 * z for z in true_roots(p, **kwargs)]
+    def scaled(f, tol, max_iterations, restarts, seed):      # radius 3.04 > Gershgorin 2
+        return [2 * z for z in true_factor_roots(f, tol, max_iterations, restarts, seed)]
 
-    monkeypatch.setattr(tmcorr.spectral, "roots", clustered)
+    monkeypatch.setattr(tmcorr.spectral, "_factor_roots", clustered)
     with pytest.raises(RootFindingError, match="distinct roots cluster"):
         spectral_report(system)
-    monkeypatch.setattr(tmcorr.spectral, "roots", scaled)
+    monkeypatch.setattr(tmcorr.spectral, "_factor_roots", scaled)
     with pytest.raises(RootFindingError, match="Gershgorin"):
         spectral_report(system)
+
+
+def test_spectral_report_splits_each_block_once_and_no_piece_again(monkeypatch):
+    calls = []
+    true_factors = tmcorr.spectral.square_free_factors
+
+    def counted(coeffs):
+        calls.append(tuple(coeffs))
+        return true_factors(coeffs)
+
+    monkeypatch.setattr(tmcorr.spectral, "square_free_factors", counted)
+    for q in range(3, 64, 2):
+        calls.clear()
+        spectral_report(build_transfer(q))
+        assert len(calls) == 2, (q, calls)              # once per mirror block
+    # roots itself still splits a polynomial with repeated factors:
+    # (x + 2)^3 (x^2 + x + 1)^2 (x - 1)^2
+    coeffs = [1]
+    for factor in [(2, 1)] * 3 + [(1, 1, 1)] * 2 + [(-1, 1)] * 2:
+        coeffs = _poly_mul(coeffs, list(factor))
+    calls.clear()
+    zs = roots(MonicIntPolynomial(coeffs=tuple(coeffs)))
+    assert calls == [tuple(coeffs)]
+    assert zs[:3] == [-2, -2, -2] and zs[7:] == [1, 1]
+    w = complex(-0.5, math.sqrt(3) / 2)
+    assert zs[3] == zs[4] == zs[5].conjugate() == zs[6].conjugate()
+    assert abs(zs[5] - w) <= 1e-12, zs
 
 
 def test_spectral_report_deterministic():
