@@ -94,7 +94,7 @@ def cmd_corr(args) -> str:
             if args.naive_check:
                 if X <= NAIVE_CHECK_LIMIT:
                     if corr_naive(q, r, X) != value:
-                        raise RuntimeError(f"fast/naive mismatch at q={q} r={r} X={X}")
+                        raise ValueError(f"fast/naive mismatch at q={q} r={r} X={X}")
                     row["check"] = "ok"
                 else:
                     row["check"] = "skipped"

@@ -5,22 +5,24 @@ For odd q and shift 0 <= r < q:
     S_q(X, r) = sum_{n=1..X} eps(n) * eps(q*n + r)      (correlation)
     U_q(X, r) = sum_{n=1..X} eps(q*n + r)               (dilation)
 
-Both have direct O(X) evaluations and one exact halving engine.  Splitting
-n into even and odd halves the range and maps the shift s to s//2 (even
-part) and (q+s)//2 (odd part), with a sign flip for odd s; the correlation
-adds the two halves and the dilation subtracts the odd one.  That signed
-table (``shift_rows``) is the transfer matrix of ``build_transfer``; one
-engine step is one pass over its rows.  The sizes floor(X/2^k) and
-floor(X/2^k) - 1 are the only ones that occur, so the engine reads the
-bits of X from the top with the vectors of all q shifts at those two
-sizes: O(q log X) integer steps for any X, equal to the direct loop to
-the last integer, and a batch of X walks each shared bit prefix once.
+Both have direct O(X) evaluations and exact fast paths, two steps on the
+bit-prefix walker ``digitseq.walk_prefixes`` (a batch of X walks each
+shared bit prefix once), equal to the direct loops for any X:
+
+- correlation: splitting n into even and odd halves the range and maps
+  the shift s to s//2 and (q+s)//2, with a sign flip for odd s.  That
+  signed table (``shift_rows``) is the transfer matrix of
+  ``build_transfer``; the step carries all shifts at sizes floor(X/2^k)
+  and floor(X/2^k) - 1: O(q log X).
+- dilation: the qn + r, n < X, are the N = r (mod q) up to qX - 1, so U_q
+  is one entry of the residue walk ``digitseq.residue_sums`` plus the
+  term n = X: O(q log qX).
 """
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from .digitseq import NAIVE_LIMIT, check_naive_limit, eps   # NAIVE_LIMIT: re-exported
+from .digitseq import (NAIVE_LIMIT, check_naive_limit, eps,   # NAIVE_LIMIT: re-exported
+                       residue_sums, walk_prefixes)
 
 
 def _validate_batch(q: int, xs) -> None:
@@ -55,75 +57,65 @@ def shift_rows(q: int, size: int = 0) -> tuple[tuple[int, int, int], ...]:
     return tuple((1 - 2 * (s & 1), s >> 1, (q + s) >> 1) for s in range(max(q, size)))
 
 
-def _common_prefix(u: int, v: int) -> int:
-    """Number of leading binary digits that u and v share."""
-    lu, lv = u.bit_length(), v.bit_length()
-    m = min(lu, lv)
-    return m - ((u >> (lu - m)) ^ (v >> (lv - m))).bit_length()
+def _corr_vectors(q: int, xs, size: int = 0) -> dict[int, list[int]]:
+    """X -> [sum_{n=0..X} eps(n) eps(qn+s) for s in 0..R] (R as in shift_rows).
 
-
-def _prefixed_vectors(q: int, xs, dilation: bool, size: int = 0) -> dict[int, list[int]]:
-    """X -> [sum_{n=0..X} w_s(n) for s in 0..R] for every X in xs (R as in shift_rows).
-
-    w_s(n) = eps(n) eps(qn+s), or eps(qn+s) for the dilation.  With F(Y)
-    the vector at size Y, the state at a bit prefix h of X is the pair
-    (F(h), F(h-1)), starting from F(0) = eps(s) and F(-1) = 0; appending
-    bit c gives the state at 2h+c from the signed rows (g, a, b), the halves
-    of 2h+c and 2h+c-1 being h or h-1.  X values are walked in the order of
-    their bit strings, so a prefix shared by several X (a ladder 2^a..2^b,
-    a run of consecutive X) is walked once: each X is walked in slices
-    between the depths where a later X branches off, and a state is kept
-    only at a slice end.  A single X is one slice.
+    With F(Y) that vector at Y, the state at a bit prefix h is (F(h), F(h-1)),
+    from F(0) = eps(s) and F(-1) = 0; the signed rows (g, a, b) give the state
+    at 2h+c, the halves of 2h+c and 2h+c-1 being h or h-1.
     """
     width = max(q, size)
     rows = shift_rows(q, width)
-    paths = sorted((bin(X)[2:] if X else "", X) for X in set(xs))
-    starts = [0] + [_common_prefix(u, v) for (_, u), (_, v) in zip(paths, paths[1:])]
-    cuts = sorted(set(starts[1:]))   # depths where a later X branches off
-    states = {0: ([eps(s) for s in range(width)], [0] * width)}   # depth -> (F(h), F(h-1))
-    out = {}
-    for (bits, X), depth in zip(paths, starts):
-        V, W = states[depth]
-        for end in cuts[bisect_right(cuts, depth):bisect_left(cuts, len(bits))] + [len(bits)]:
-            for c in bits[depth:end]:
-                M = V if c == "1" else W
-                if dilation:
-                    V, W = ([V[a] - M[b] if g > 0 else M[b] - V[a] for g, a, b in rows],
-                            [M[a] - W[b] if g > 0 else W[b] - M[a] for g, a, b in rows])
-                else:
-                    V, W = ([V[a] + M[b] if g > 0 else -V[a] - M[b] for g, a, b in rows],
-                            [M[a] + W[b] if g > 0 else -M[a] - W[b] for g, a, b in rows])
-            states[end] = V, W
-            depth = end
-        out[X] = V
-    return out
+
+    def advance(state, bits):
+        V, W = state
+        for c in bits:
+            M = V if c == "1" else W
+            V, W = ([V[a] + M[b] if g > 0 else -V[a] - M[b] for g, a, b in rows],
+                    [M[a] + W[b] if g > 0 else -M[a] - W[b] for g, a, b in rows])
+        return V, W
+
+    start = ([eps(s) for s in range(width)], [0] * width)
+    return {X: state[0] for X, state in walk_prefixes(xs, start, advance).items()}
 
 
 def shift_vectors(q: int, xs, dilation: bool = False, size: int = 0) -> dict[int, list[int]]:
     """X -> [S_q(X, r) for r in 0..max(q, size)-1] for every X in xs (U_q if
     dilation); a size above q adds the shifts r >= q.
 
-    One engine pass serves the whole set: every shift at once, and every
-    bit prefix that several X share (a ladder of powers of two, a range of
-    consecutive X) is evaluated once.
+    One walk serves the whole set: every shift at once, and every bit
+    prefix that several X share (a ladder of powers of two, a range of
+    consecutive X) is walked once.  A dilation shift r >= q follows from
+    U_q(X, r) = U_q(X, r - q) + eps(qX + r) - eps(r).
     """
     xs = list(xs)
     _validate_batch(q, xs)
-    full = _prefixed_vectors(q, xs, dilation, size)
-    base = [eps(r) for r in range(max(q, size))]   # the n = 0 terms
-    return {X: [v - e for v, e in zip(full[X], base)] for X in full}
+    width = max(q, size)
+    base = [eps(r) for r in range(width)]   # the n = 0 terms
+    if not dilation:
+        full = _corr_vectors(q, xs, size)
+        return {X: [v - e for v, e in zip(full[X], base)] for X in full}
+    R = residue_sums(q, {q * X - 1 for X in xs})   # the terms n = 0..X-1
+    out = {}
+    for X in xs:
+        Y = q * X
+        out[X] = U = [v + eps(Y + r) - e for r, (v, e) in enumerate(zip(R[Y - 1], base))]
+        for r in range(q, width):
+            U.append(U[r - q] + eps(Y + r) - base[r])
+    return out
 
 
 def corr_fast(q: int, r: int, X: int) -> int:
     """S_q(X, r), identical to corr_naive, in O(q log X)."""
     _validate(q, r, X)
-    return _prefixed_vectors(q, (X,), False)[X][r] - eps(r)
+    return _corr_vectors(q, (X,))[X][r] - eps(r)
 
 
 def dilation_sum(q: int, r: int, X: int) -> int:
-    """U_q(X, r) = sum_{n=1..X} eps(qn+r), identical to dilation_naive; O(q log X)."""
+    """U_q(X, r) = sum_{n=1..X} eps(qn+r), identical to dilation_naive; O(q log qX)."""
     _validate(q, r, X)
-    return _prefixed_vectors(q, (X,), True)[X][r] - eps(r)
+    Y = q * X - 1   # the N = qn + r, n = 0..X-1, are the N <= Y with N = r (mod q)
+    return residue_sums(q, (Y,))[Y][r] + eps(Y + 1 + r) - eps(r)
 
 
 def dilation_naive(q: int, r: int, X: int) -> int:

@@ -9,7 +9,7 @@ four-term identity
 with P the plain sign partial sum, U the dilation sum, and S the
 correlation sum, so fast-vs-naive equality is an exact integer test.
 ``count_tables`` builds the tables of the asked shifts over a set of X from
-one pass of the correlation module's halving engine per sum.
+one walk of the correlation module per sum.
 ``count_adjacent_fast`` gives the n - m = 1 table in O(log X) steps; the
 direct loop ``count_adjacent`` is its oracle.
 """
@@ -91,8 +91,8 @@ def count_tables(q: int, xs, shifts=None) -> dict[int, dict[int, CountTable]]:
     shifts (default 0..q-1); a shift r >= q gives the exploratory
     count_classes_naive(q, r, X, extension=True).
 
-    One engine pass each for the correlation and the dilation sums covers
-    all shifts and all X (see ``correlation.shift_vectors``).
+    One walk each for the correlation and the dilation sums covers all
+    shifts and all X (see ``correlation.shift_vectors``).
     """
     xs = list(xs)
     shifts = range(q) if shifts is None else list(shifts)

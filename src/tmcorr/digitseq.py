@@ -3,7 +3,11 @@
 The sign eps(n) = (-1)**s(n), with s(n) the number of ones in the binary
 expansion of n, splits the naturals into class 0 (even digit sum) and
 class 1 (odd digit sum).  Everything here is exact integer arithmetic.
+The fast paths run their steps on ``walk_prefixes``, which reads each bound
+from the top bit.
 """
+
+from bisect import bisect_left, bisect_right
 
 # direct-loop guard: above this the O(X) paths refuse instead of hanging
 NAIVE_LIMIT = 10**7
@@ -41,13 +45,77 @@ def eps_partial_sum(X: int) -> int:
     return total_from_zero - 1
 
 
+def _common_prefix(u: int, v: int) -> int:
+    """Number of leading binary digits that u and v share."""
+    lu, lv = u.bit_length(), v.bit_length()
+    m = min(lu, lv)
+    return m - ((u >> (lu - m)) ^ (v >> (lv - m))).bit_length()
+
+
+def walk_prefixes(xs, start, advance) -> dict:
+    """X -> the state after the bits of X, top bit first, for every X >= 0 in xs.
+
+    ``start`` is the state of X = 0 (no bits); ``advance(state, bits)``
+    returns the state after a '0'/'1' string and leaves ``state`` as it is,
+    since later X may start from it.  X values are walked in the order of
+    their bit strings, so a prefix shared by several X (a ladder 2^a..2^b, a
+    run of consecutive X) is walked once: each X is walked in slices between
+    the depths where a later X branches off, and a state is kept only at a
+    slice end.
+    """
+    paths = sorted((bin(X)[2:] if X else "", X) for X in set(xs))
+    starts = [0] + [_common_prefix(u, v) for (_, u), (_, v) in zip(paths, paths[1:])]
+    cuts = sorted(set(starts[1:]))   # depths where a later X branches off
+    states = {0: start}   # depth -> state
+    out = {}
+    for (bits, X), depth in zip(paths, starts):
+        state = states[depth]
+        for end in cuts[bisect_right(cuts, depth):bisect_left(cuts, len(bits))] + [len(bits)]:
+            states[end] = state = advance(state, bits[depth:end])
+            depth = end
+        out[X] = state
+    return out
+
+
+def residue_rows(m: int) -> tuple[tuple[int, int], ...]:
+    """Row l = (l/2, (l-1)/2), halves mod odd m, of the step of ``residue_sums``:
+    its matrix A_m has +1 and -1 at these two columns of row l."""
+    return tuple((l * (m + 1) // 2 % m, (l - 1) * (m + 1) // 2 % m) for l in range(m))
+
+
+def residue_sums(m: int, ys) -> dict[int, list[int]]:
+    """Y -> [sum of eps(N) over 0 <= N <= Y, N = l (mod m), for l in 0..m-1]
+    for every Y >= -1 in ys; m odd.
+
+    The N <= 2h+1 are 2k and 2k+1, k <= h, and eps(2k+1) = -eps(k), so
+    ``residue_rows`` give the vector at 2h+1 from that at h; the one at 2h
+    drops N = 2h+1, of sign -eps(h): the state carries h mod m and eps(h).
+    """
+    rows = residue_rows(m)
+
+    def advance(state, bits):
+        R, h, e = state
+        for c in bits:
+            R = [R[a] - R[b] for a, b in rows]
+            if c == "1":
+                h, e = (2 * h + 1) % m, -e
+            else:
+                R[(2 * h + 1) % m] += e
+                h = 2 * h % m
+        return R, h, e
+
+    start = ([1] + [0] * (m - 1), 0, 1)   # Y = 0: the single term N = 0
+    walked = walk_prefixes((Y for Y in ys if Y >= 0), start, advance)
+    return {Y: walked[Y][0] if Y >= 0 else [0] * m for Y in ys}
+
+
 def gelfond_count(X: int, l: int, m: int, j: int) -> int:
     """Count n with 1 <= n <= X, n = l (mod m), and parity class j.
 
     With m = 2^a m' (m' odd), b = l mod 2^a and c = l >> a (l reduced mod
-    m), the n counted are 2^a (m' t + c) + b for t = 0..T.  Their low a bits
-    are b, so eps(n) = eps(b) eps(m' t + c), and the signed sum over t is the
-    dilation sum U_m'(T, c) plus the t = 0 term: O(m' log X) engine steps.
+    m), the n counted are 2^a k + b, k = c (mod m'), k <= K = (X - b) >> a.
+    Their low a bits are b, so eps(n) = eps(b) eps(k), and the signed sum is
+    eps(b) times entry c of ``residue_sums(m', K)``: O(m' log X) steps.
     """
     if m < 1:
         raise ValueError("modulus m must be >= 1")
@@ -55,14 +123,13 @@ def gelfond_count(X: int, l: int, m: int, j: int) -> int:
         raise ValueError("class index j must be 0 or 1")
     if X < 0:
         raise ValueError("X must be nonnegative")
-    from .correlation import shift_vectors   # correlation imports this module
     l %= m
     a = (m & -m).bit_length() - 1
     odd, b, c = m >> a, l & ((1 << a) - 1), l >> a
-    T = (((X - b) >> a) - c) // odd   # negative when no n qualifies
-    if T < 0:
+    K = (X - b) >> a
+    if K < c:   # no n qualifies
         return 0
-    N, E = T + 1, eps(b) * (eps(c) + shift_vectors(odd, (T,), dilation=True)[T][c])
+    N, E = (K - c) // odd + 1, eps(b) * residue_sums(odd, (K,))[K][c]
     if l == 0:   # drop the n = 0 term
         N, E = N - 1, E - 1
     return (N + E) // 2 if j == 0 else (N - E) // 2

@@ -63,6 +63,15 @@ def test_corr_naive_check(capsys):
     assert out == "X,r,value,check\n4,0,-2,ok\n"
 
 
+def test_corr_naive_check_mismatch_is_one_error_line(capsys, monkeypatch):
+    import tmcorr.cli
+    monkeypatch.setattr(tmcorr.cli, "corr_naive", lambda q, r, X: 99)
+    code, out, err = run_cli(capsys, "corr", "3", "all", "2^2..2^3", "--naive-check")
+    assert code == 1
+    assert out == ""
+    assert err == "error: fast/naive mismatch at q=3 r=0 X=4\n"
+
+
 def test_corr_rejects_even_multiplier(capsys):
     code, out, err = run_cli(capsys, "corr", "4", "0", "8..8")
     assert code == 1

@@ -2,8 +2,10 @@ import random
 
 import pytest
 
-from tmcorr import (NAIVE_LIMIT, build_transfer, corr_fast, corr_naive,
+from tmcorr import (NAIVE_LIMIT, build_transfer, char_poly, corr_fast, corr_naive,
                     dilation_naive, dilation_sum, eps, shift_vectors)
+from tmcorr.correlation import shift_rows
+from tmcorr.digitseq import residue_rows
 
 
 def test_corr_naive_examples():
@@ -178,3 +180,28 @@ def test_coefficient_duality(q):
                 boundary += c[r] * sign * eps(k) * eps(q * k + r // 2)
             rhs += boundary
         assert lhs == rhs, (q, X)
+
+
+@pytest.mark.parametrize("q", range(1, 64, 2))
+def test_residue_step_has_the_dilation_characteristic_polynomial(q):
+    # the dilation engine walks residues with A_q (+1 at l/2, -1 at (l-1)/2
+    # mod q); it must take the residue sums at h to those at 2h+1, and share
+    # the characteristic polynomial of the shift recursion's dilation rows
+    # D_q (sign at s//2, minus sign at (q+s)//2).  That polynomial is odd,
+    # so it alone would not see a flipped sign: the first check does.
+    A = [[0] * q for _ in range(q)]
+    for l, (a, b) in enumerate(residue_rows(q)):
+        A[l][a] += 1
+        A[l][b] -= 1
+    R = [0] * q   # residue sums of eps(N) over N <= Y, by direct loop
+    direct = []
+    for N in range(2 * 40 + 2):
+        R[N % q] += eps(N)
+        direct.append(R[:])
+    for h in range(41):
+        assert [sum(map(int.__mul__, row, direct[h])) for row in A] == direct[2 * h + 1]
+    D = [[0] * q for _ in range(q)]
+    for s, (g, a, b) in enumerate(shift_rows(q)):
+        D[s][a] += g
+        D[s][b] -= g
+    assert char_poly(A) == char_poly(D)

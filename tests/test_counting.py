@@ -85,11 +85,13 @@ def test_extension_shifts():
         count_classes_fast(3, 5, 100)
 
 
-@pytest.mark.parametrize("q", [1, 3, 5, 7])
+@pytest.mark.parametrize("q", [1, 3, 5, 7, 9, 15])
 def test_extension_tables_equal_direct_loop(q):
     # the alphabet 0..R, R >= q-1, is closed under s -> s//2, (q+s)//2, so the
-    # engine gives the exploratory shifts r >= q exactly
-    R = 2 * q + 3
+    # correlation engine gives the exploratory shifts r >= q exactly; the
+    # dilation reaches r = tq + r0 through U(X, r) = U(X, r - q) + eps(qX + r)
+    # - eps(r), here up to t = 5
+    R = 5 * q
     tables = count_tables(q, range(200), range(R + 1))
     for X in range(200):
         assert len(tables[X]) == R + 1

@@ -96,7 +96,7 @@ def test_gelfond_against_brute_force():
     cls = (tab < 0).astype(np.int64)
     n = np.arange(10**4 + 1)
     xs = list(range(0, 65)) + [10**4] + [rng.randrange(65, 10**4) for _ in range(12)]
-    for m in range(1, 17):
+    for m in [*range(1, 17), 20, 64, 96, 101, 128]:   # perfbench `residue` draws m in 20..101
         for l in range(m):
             match_l = (n % m == l)
             for j in (0, 1):
