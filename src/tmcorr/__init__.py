@@ -14,8 +14,8 @@ from .correlation import (CorrelationSystem, build_transfer, corr_fast,
                           shift_vectors)
 from .spectral import (MonicIntPolynomial, RootFindingError, SpectralReport,
                        char_poly, cluster_roots, int_poly_gcd,
-                       jordan_block_check, power_growth, roots,
-                       spectral_report, square_free_factors)
+                       jordan_block_check, roots, spectral_report,
+                       square_free_factors)
 from .expsum import (RationalPhase, ScanResult, expsum_fast, expsum_naive,
                      product_formula, scan_alpha)
 from .counting import (CountTable, count_adjacent, count_adjacent_fast,
@@ -32,7 +32,7 @@ __all__ = [
     "count_adjacent_fast", "count_classes_fast", "count_classes_naive",
     "count_tables", "dilation_naive", "dilation_sum", "emit", "eps",
     "eps_partial_sum", "expsum_fast", "expsum_naive", "fit_exponent",
-    "gelfond_count", "int_poly_gcd", "jordan_block_check", "power_growth",
-    "product_formula", "roots", "scan_alpha", "shift_vectors",
-    "spectral_report", "square_free_factors",
+    "gelfond_count", "int_poly_gcd", "jordan_block_check", "product_formula",
+    "roots", "scan_alpha", "shift_vectors", "spectral_report",
+    "square_free_factors",
 ]

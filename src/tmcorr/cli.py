@@ -207,7 +207,9 @@ def cmd_fit(args) -> str:
     return emit(record, args.format, list(record))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call; parse_args does not change it."""
     parser = argparse.ArgumentParser(
         prog="tmcorr",
         description="Exact Thue-Morse correlation sums, transfer-matrix "
@@ -268,14 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on the first call; parse_args does not change it."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     # X, the sums and the cells may have any number of decimal digits; Python
     # caps int <-> str conversion at 4300 digits (from 3.10.7) unless lifted
     digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()

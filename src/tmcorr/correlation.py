@@ -50,9 +50,10 @@ def shift_rows(q: int, size: int = 0) -> tuple[tuple[int, int, int], ...]:
     0..R, R = max(q, size) - 1.
 
     The terms n = 2k of shift s are sign times the terms k of shift a = s//2;
-    the terms n = 2k+1 are sign times those k of shift b = (q+s)//2 for the
-    correlation, and minus that for the dilation.  sign = -1 for odd s.  The
-    alphabet is closed under both maps because R >= q-1.
+    the terms n = 2k+1 are sign times those k of shift b = (q+s)//2.
+    sign = -1 for odd s.  The alphabet is closed under both maps because
+    R >= q-1.  With the b term negated the rows form D_q, the transfer
+    matrix of the dilation sums, whose spectrum is still to be analysed.
     """
     return tuple((1 - 2 * (s & 1), s >> 1, (q + s) >> 1) for s in range(max(q, size)))
 
@@ -136,7 +137,6 @@ class CorrelationSystem:
 
     q: int
     transfer: tuple[tuple[int, ...], ...]
-    shifts: tuple[int, ...]
 
 
 def build_transfer(q: int) -> CorrelationSystem:
@@ -161,4 +161,4 @@ def build_transfer(q: int) -> CorrelationSystem:
         rows.append(tuple(row))
     if any(rows[q - 1 - r] != row[::-1] for r, row in enumerate(rows)):
         raise AssertionError(f"transfer matrix is not centrosymmetric: q={q}")
-    return CorrelationSystem(q=q, transfer=tuple(rows), shifts=tuple(range(q)))
+    return CorrelationSystem(q=q, transfer=tuple(rows))

@@ -91,6 +91,10 @@ def residue_sums(m: int, ys) -> dict[int, list[int]]:
     ``residue_rows`` give the vector at 2h+1 from that at h; the one at 2h
     drops N = 2h+1, of sign -eps(h): the state carries h mod m and eps(h).
     """
+    if m < 1 or m % 2 == 0:
+        raise ValueError(f"modulus must be odd and positive, got m={m}")
+    if min(ys, default=-1) < -1:
+        raise ValueError("Y must be >= -1")
     rows = residue_rows(m)
 
     def advance(state, bits):

@@ -55,10 +55,6 @@ class RationalPhase:
         object.__setattr__(self, "p", self.p % self.q // g)
         object.__setattr__(self, "q", self.q // g)
 
-    def double(self) -> "RationalPhase":
-        """2*alpha mod 1, exactly."""
-        return RationalPhase(2 * self.p, self.q)
-
 
 def expsum_naive(alpha: RationalPhase, X: int) -> complex:
     """Direct left-to-right evaluation of f(X, alpha); guarded O(X) loop.

@@ -26,8 +26,9 @@ from operator import add, neg, sub
 from .correlation import CorrelationSystem
 
 MAX_DIM = 64
-MAX_POWER_STEPS = 80
 DEFAULT_SEED = 12345
+ROOT_TOL = 1e-8      # backward-error bound of an accepted root
+CLUSTER_TOL = 1e-6   # relative distance at which two roots count as one
 MAX_ITERATIONS, RESTARTS = 500, 3    # Aberth budget of roots and spectral_report
 # a root stops moving once |p(z)| <= this * sum |c_k| |z|**k: about twice
 # the machine epsilon, below which Horner's own rounding decides the value
@@ -107,9 +108,6 @@ class MonicIntPolynomial:
             acc = acc * z + c
         return acc
 
-    def derivative_coeffs(self) -> tuple[int, ...]:
-        return tuple(_derivative(self.coeffs))
-
 
 def char_poly(M) -> MonicIntPolynomial:
     """Exact characteristic polynomial det(xI - M), Faddeev-LeVerrier.
@@ -137,7 +135,7 @@ def char_poly(M) -> MonicIntPolynomial:
     return MonicIntPolynomial(coeffs=tuple(reversed(coeffs_desc)))
 
 
-def roots(p: MonicIntPolynomial, tol: float = 1e-8, max_iterations: int = MAX_ITERATIONS,
+def roots(p: MonicIntPolynomial, tol: float = ROOT_TOL, max_iterations: int = MAX_ITERATIONS,
           restarts: int = RESTARTS, seed: int = DEFAULT_SEED) -> list[complex]:
     """All complex roots of p, each repeated by its exact multiplicity.
 
@@ -276,13 +274,13 @@ def _pair_conjugates(ws: list[complex]) -> list[complex] | None:
     return out
 
 
-def cluster_roots(zs: list[complex], tol: float = 1e-6) -> list[tuple[complex, int]]:
+def cluster_roots(zs: list[complex]) -> list[tuple[complex, int]]:
     """Group numerically coincident roots into (center, multiplicity) pairs."""
     clusters: list[list] = []   # [center, sum from 0 + z as in sum(), count]
     for z in sorted(zs, key=lambda z: (z.real, z.imag)):
         for cluster in clusters:
             center, total, count = cluster
-            if abs(z - center) <= tol * (1.0 + abs(center)):
+            if abs(z - center) <= CLUSTER_TOL * (1.0 + abs(center)):
                 total += z
                 cluster[:] = total / (count + 1), total, count + 1
                 break
@@ -426,8 +424,7 @@ class SpectralReport:
     exponent: float  # log2(radius): predicted correlation growth exponent
 
 
-def spectral_report(system: CorrelationSystem, tol: float = 1e-8,
-                    seed: int = DEFAULT_SEED) -> SpectralReport:
+def spectral_report(system: CorrelationSystem, seed: int = DEFAULT_SEED) -> SpectralReport:
     """Spectrum of the transfer matrix and the exponent log2(spectral radius).
 
     The transfer matrix is centrosymmetric (ValueError otherwise), so its
@@ -442,39 +439,18 @@ def spectral_report(system: CorrelationSystem, tol: float = 1e-8,
     halves = [char_poly(block).coeffs for block in _mirror_blocks(system.transfer)]
     p = MonicIntPolynomial(coeffs=tuple(_poly_product(*halves)))
     spectrum = sorted(((z, m) for f, m in _coprime_pieces(halves)
-                       for z in _factor_roots(f, tol, MAX_ITERATIONS, RESTARTS, seed)),
+                       for z in _factor_roots(f, ROOT_TOL, MAX_ITERATIONS, RESTARTS, seed)),
                       key=lambda zm: (zm[0].real, zm[0].imag))
     radius = max(abs(z) for z, _ in spectrum)
     gershgorin = max(sum(map(abs, row)) for row in system.transfer)
     if len(cluster_roots([z for z, _ in spectrum])) < len(spectrum):
         problem = "distinct roots cluster"
-    elif radius > gershgorin * (1 + tol):    # slack for the rounding of radius
+    elif radius > gershgorin * (1 + ROOT_TOL):    # slack for the rounding of radius
         problem = f"radius {radius} exceeds the Gershgorin bound {gershgorin}"
     else:
         return SpectralReport(poly=p, roots=tuple(spectrum), radius=radius,
                               exponent=math.log2(radius))
     raise RootFindingError(problem, sorted(abs(p(z)) for z, _ in spectrum))
-
-
-def power_growth(M, start, J: int) -> list[tuple[int, int]]:
-    """Exact max-norms of M**j * start for j = 0..J.
-
-    Pure integer iteration; J is capped so runs stay desk-scale.
-    """
-    A = _as_matrix(M)
-    if not 0 <= J <= MAX_POWER_STEPS:
-        raise ValueError(f"J must lie in 0..{MAX_POWER_STEPS}")
-    v = tuple(start)
-    if len(v) != len(A):
-        raise ValueError("start vector length must match matrix dimension")
-    if any(not isinstance(x, int) for x in v):
-        raise ValueError("start vector entries must be integers")
-    nonzero = _nonzero_rows(A)
-    out = [(0, max(abs(x) for x in v))]
-    for j in range(1, J + 1):
-        v = tuple(sum(w * v[t] for t, w in row) for row in nonzero)
-        out.append((j, max(abs(x) for x in v)))
-    return out
 
 
 def jordan_block_check(M, eigval: int) -> int:

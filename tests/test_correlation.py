@@ -118,7 +118,6 @@ def test_batch_equals_single_x_and_direct(xs):
 def test_transfer_q3_matches_recursion_coefficients():
     system = build_transfer(3)
     assert system.q == 3
-    assert system.shifts == (0, 1, 2)
     assert system.transfer == ((1, 1, 0), (-1, 0, -1), (0, 1, 1))
     # transpose is the classical 3x3 coefficient-propagation matrix
     transpose = tuple(zip(*system.transfer))

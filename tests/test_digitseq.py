@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tmcorr import class_of, eps, eps_partial_sum, gelfond_count
+from tmcorr.digitseq import residue_sums, walk_prefixes
 
 from conftest import eps_table
 
@@ -113,3 +114,46 @@ def test_gelfond_partition():
             total = sum(gelfond_count(X, l, m, j)
                         for l in range(m) for j in (0, 1))
             assert total == X
+
+
+# --- the bit-prefix walker and the residue walk ------------------------------
+
+def _prefix_batches():
+    rng = random.Random(20261019)
+    return [[2**k for k in range(6, 13)],
+            [*range(60, 68), *range(127, 130)],
+            {0, 1, 5, 5, 2, 43, 21, 10, 11},
+            [rng.getrandbits(200) | 1 << 199 for _ in range(30)]]
+
+
+@pytest.mark.parametrize("xs", _prefix_batches())
+def test_walk_prefixes_walks_each_shared_prefix_once(xs):
+    walked = []
+
+    def advance(state, bits):
+        walked.append(bits)
+        return state + bits
+
+    out = walk_prefixes(xs, "", advance)
+    assert out == {X: bin(X)[2:] if X else "" for X in xs}
+    prefixes = {bin(X)[2:][:k] for X in xs if X for k in range(1, X.bit_length() + 1)}
+    assert sum(map(len, walked)) == len(prefixes)
+
+
+def test_residue_sums_equal_running_sums_by_residue():
+    ys = range(-1, 2001)
+    for m in (1, 3, 5, 7, 9, 15, 31, 63, 101, 129):
+        got = residue_sums(m, ys)
+        running = [0] * m
+        assert got[-1] == running, m
+        for Y in range(2001):
+            running[Y % m] += eps(Y)
+            assert got[Y] == running, (m, Y)
+
+
+def test_residue_sums_refuse_outside_their_domain():
+    for m in (0, 2, 4, -3):
+        with pytest.raises(ValueError, match="odd"):
+            residue_sums(m, (5,))
+    with pytest.raises(ValueError, match="-1"):
+        residue_sums(3, (4, -2))

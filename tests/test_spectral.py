@@ -7,8 +7,8 @@ import pytest
 
 import tmcorr.spectral
 from tmcorr import (MonicIntPolynomial, RootFindingError, build_transfer,
-                    char_poly, cluster_roots, int_poly_gcd,
-                    jordan_block_check, power_growth, roots, spectral_report,
+                    char_poly, cluster_roots, eps, int_poly_gcd,
+                    jordan_block_check, roots, shift_vectors, spectral_report,
                     square_free_factors)
 
 
@@ -20,6 +20,10 @@ def _poly_mul(a, b):
         for j, bj in enumerate(b):
             out[i + j] += ai * bj
     return out
+
+
+def _derivative(a):
+    return tuple(k * c for k, c in enumerate(a))[1:]
 
 
 def _poly_add(a, b):
@@ -573,8 +577,8 @@ def test_int_poly_gcd_derivatives_of_transfer_polys():
     # q <= 41: the Fraction oracle alone takes seconds per q beyond
     for q in range(3, 42, 2):
         p = char_poly(build_transfer(q).transfer)
-        assert int_poly_gcd(p.coeffs, p.derivative_coeffs()) == \
-            fraction_gcd_oracle(p.coeffs, p.derivative_coeffs()), q
+        assert int_poly_gcd(p.coeffs, _derivative(p.coeffs)) == \
+            fraction_gcd_oracle(p.coeffs, _derivative(p.coeffs)), q
 
 
 def test_int_poly_gcd_zero_and_trailing_zero_inputs():
@@ -665,7 +669,7 @@ def test_square_free_factors_of_transfer_polys():
         assert _rebuild(factors) == p.coeffs
         assert all(f[-1] == 1 for f, _ in factors)
         repeated = sum((m - 1) * (len(f) - 1) for f, m in factors)
-        assert repeated == len(int_poly_gcd(p.coeffs, p.derivative_coeffs())) - 1
+        assert repeated == len(int_poly_gcd(p.coeffs, _derivative(p.coeffs))) - 1
 
 
 def _check_pieces(polys):
@@ -719,7 +723,7 @@ def test_coprime_pieces_of_planted_products():
 def test_int_poly_gcd():
     # gcd((x-1)^2 (x^3-x+2), derivative) = (x-1)
     p = MonicIntPolynomial(coeffs=(2, -5, 4, 0, -2, 1))
-    g = int_poly_gcd(p.coeffs, p.derivative_coeffs())
+    g = int_poly_gcd(p.coeffs, _derivative(p.coeffs))
     assert g == (-1, 1)
     # coprime case
     g2 = int_poly_gcd((-2, 3, -2, 1), (3, -4, 3))
@@ -833,8 +837,7 @@ def test_transfer_mirror_blocks_multiply_to_the_full_polynomial():
 
 def test_spectral_report_refuses_a_matrix_without_the_mirror_symmetry():
     for transfer in (((1, 1, 0), (0, 1, 1), (1, 0, 0)), ((1, 0), (0, 1))):
-        system = tmcorr.CorrelationSystem(q=len(transfer), transfer=transfer,
-                                          shifts=tuple(range(len(transfer))))
+        system = tmcorr.CorrelationSystem(q=len(transfer), transfer=transfer)
         with pytest.raises(ValueError, match="centrosymmetric"):
             spectral_report(system)
 
@@ -881,56 +884,39 @@ def test_char_poly_work_on_the_mirror_blocks(monkeypatch):
     assert sum(built) <= 0.3 * full, (sum(built), full)
 
 
-# --- power growth ------------------------------------------------------------
+# --- power growth: the engine walks the powers of T_q ------------------------
 
-def test_power_growth_identity():
-    ident = ((1, 0), (0, 1))
-    norms = power_growth(ident, (3, -4), 10)
-    assert norms == [(j, 4) for j in range(11)]
+def _engine_powers(q, J):
+    """[T_q^j e for j = 0..J], e = (eps(s))_s, read from the engine: along
+    X = 2^j - 1 every bit is the step V <- T_q V, so S_q(X, s) + eps(s) is
+    entry s of T_q^j e."""
+    e = [eps(s) for s in range(q)]
+    sums = shift_vectors(q, [2**j - 1 for j in range(J + 1)])
+    return [[v + es for v, es in zip(sums[2**j - 1], e)] for j in range(J + 1)]
 
 
 def test_power_growth_matches_exact_matrix_powers():
-    system = build_transfer(5)
-    M = system.transfer
-    n = len(M)
-    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    power = ident
-    start = (1, 0, 0, 0, 0)
-    expected = []
-    for j in range(41):
-        vec = tuple(sum(power[i][t] * start[t] for t in range(n))
-                    for i in range(n))
-        expected.append((j, max(abs(v) for v in vec)))
-        power = _mat_mul(M, power)
-    assert power_growth(M, start, 40) == expected
+    # the matrix that spectral_report analyses is the step of the sums
+    for q in range(3, 64, 2):
+        T = build_transfer(q).transfer
+        vec = [eps(s) for s in range(q)]
+        for j, got in enumerate(_engine_powers(q, 40)):
+            assert got == vec, (q, j)
+            vec = [sum(t * v for t, v in zip(row, vec)) for row in T]
 
 
 def test_power_growth_q3_ratio_band():
-    # calibrated band for norm(j) / 2^(j/2), unit start e0
-    M = build_transfer(3).transfer
-    norms = power_growth(M, (1, 0, 0), 40)
-    for j, norm in norms[8:]:
-        ratio = norm / 2 ** (j / 2)
+    # calibrated band for max |(T^j e)_s| / 2^(j/2)
+    for j, vec in enumerate(_engine_powers(3, 40)[8:], start=8):
+        ratio = max(map(abs, vec)) / 2 ** (j / 2)
         assert 0.3 <= ratio <= 3.0, (j, ratio)
 
 
 def test_power_growth_q5_ratio_band():
     rho = 1.5213797068045676
-    M = build_transfer(5).transfer
-    norms = power_growth(M, (1, 0, 0, 0, 0), 40)
-    for j, norm in norms[8:]:
-        ratio = norm / rho ** j
+    for j, vec in enumerate(_engine_powers(5, 40)[8:], start=8):
+        ratio = max(map(abs, vec)) / rho ** j
         assert 0.05 <= ratio <= 5.0, (j, ratio)
-
-
-def test_power_growth_validation():
-    M = ((1, 0), (0, 1))
-    with pytest.raises(ValueError):
-        power_growth(M, (1, 0), 81)
-    with pytest.raises(ValueError):
-        power_growth(M, (1, 0, 0), 5)
-    with pytest.raises(ValueError):
-        power_growth(M, (1.5, 0), 5)
 
 
 def test_jordan_requires_integer_eigenvalue():
