@@ -12,17 +12,19 @@ shared bit prefix once), equal to the direct loops for any X:
 - correlation: splitting n into even and odd halves the range and maps
   the shift s to s//2 and (q+s)//2, with a sign flip for odd s.  That
   signed table (``shift_rows``) is the transfer matrix of
-  ``build_transfer``; the step carries all shifts at sizes floor(X/2^k)
-  and floor(X/2^k) - 1: O(q log X).
+  ``build_transfer``.  The state is one list of all shifts at sizes
+  floor(X/2^k) and floor(X/2^k) - 1; each bit maps it in one pass of a
+  table of those rows, built once per q and width: O(q log X).
 - dilation: the qn + r, n < X, are the N = r (mod q) up to qX - 1, so U_q
   is one entry of the residue walk ``digitseq.residue_sums`` plus the
   term n = X: O(q log qX).
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .digitseq import (NAIVE_LIMIT, check_naive_limit, eps,   # NAIVE_LIMIT: re-exported
-                       residue_sums, walk_prefixes)
+                       TABLE_CACHE, residue_sums, walk_prefixes)
 
 
 def _validate_batch(q: int, xs) -> None:
@@ -58,26 +60,35 @@ def shift_rows(q: int, size: int = 0) -> tuple[tuple[int, int, int], ...]:
     return tuple((1 - 2 * (s & 1), s >> 1, (q + s) >> 1) for s in range(max(q, size)))
 
 
+@lru_cache(maxsize=TABLE_CACHE)
+def _corr_steps(q: int, width: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """The '0'-bit and '1'-bit tables of ``_corr_vectors``: ``shift_rows``
+    (g, a, b) offset into the state, each new entry g (S[i] + S[j])."""
+    rows = shift_rows(q, width)
+    return (tuple((g, a, width + b) for g, a, b in rows)
+            + tuple((g, width + a, width + b) for g, a, b in rows),
+            tuple((g, a, b) for g, a, b in rows)
+            + tuple((g, a, width + b) for g, a, b in rows))
+
+
 def _corr_vectors(q: int, xs, size: int = 0) -> dict[int, list[int]]:
     """X -> [sum_{n=0..X} eps(n) eps(qn+s) for s in 0..R] (R as in shift_rows).
 
-    With F(Y) that vector at Y, the state at a bit prefix h is (F(h), F(h-1)),
-    from F(0) = eps(s) and F(-1) = 0; the signed rows (g, a, b) give the state
-    at 2h+c, the halves of 2h+c and 2h+c-1 being h or h-1.
+    With F(Y) that vector at Y, the state at a bit prefix h is one list,
+    F(h) then F(h-1) at offset width, from F(0) = eps(s) and F(-1) = 0; the
+    table of bit c (``_corr_steps``) gives the state at 2h+c in one pass,
+    the halves of 2h+c and 2h+c-1 being h or h-1.
     """
     width = max(q, size)
-    rows = shift_rows(q, width)
+    steps = _corr_steps(q, width)
 
-    def advance(state, bits):
-        V, W = state
+    def advance(S, bits):
         for c in bits:
-            M = V if c == "1" else W
-            V, W = ([V[a] + M[b] if g > 0 else -V[a] - M[b] for g, a, b in rows],
-                    [M[a] + W[b] if g > 0 else -M[a] - W[b] for g, a, b in rows])
-        return V, W
+            S = [S[i] + S[j] if g > 0 else -S[i] - S[j] for g, i, j in steps[c == "1"]]
+        return S
 
-    start = ([eps(s) for s in range(width)], [0] * width)
-    return {X: state[0] for X, state in walk_prefixes(xs, start, advance).items()}
+    start = [eps(s) for s in range(width)] + [0] * width
+    return {X: S[:width] for X, S in walk_prefixes(xs, start, advance).items()}
 
 
 def shift_vectors(q: int, xs, dilation: bool = False, size: int = 0) -> dict[int, list[int]]:

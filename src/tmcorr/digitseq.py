@@ -8,9 +8,12 @@ from the top bit.
 """
 
 from bisect import bisect_left, bisect_right
+from functools import lru_cache
 
 # direct-loop guard: above this the O(X) paths refuse instead of hanging
 NAIVE_LIMIT = 10**7
+# step tables kept per process, one per modulus (or multiplier and width)
+TABLE_CACHE = 64
 
 
 def check_naive_limit(X: int) -> None:
@@ -61,9 +64,13 @@ def walk_prefixes(xs, start, advance) -> dict:
     their bit strings, so a prefix shared by several X (a ladder 2^a..2^b, a
     run of consecutive X) is walked once: each X is walked in slices between
     the depths where a later X branches off, and a state is kept only at a
-    slice end.
+    slice end.  One distinct X has nothing to share and is walked in one call.
     """
-    paths = sorted((bin(X)[2:] if X else "", X) for X in set(xs))
+    xs = set(xs)
+    if len(xs) == 1:
+        X, = xs
+        return {X: advance(start, bin(X)[2:] if X else "")}
+    paths = sorted((bin(X)[2:] if X else "", X) for X in xs)
     starts = [0] + [_common_prefix(u, v) for (_, u), (_, v) in zip(paths, paths[1:])]
     cuts = sorted(set(starts[1:]))   # depths where a later X branches off
     states = {0: start}   # depth -> state
@@ -77,6 +84,7 @@ def walk_prefixes(xs, start, advance) -> dict:
     return out
 
 
+@lru_cache(maxsize=TABLE_CACHE)
 def residue_rows(m: int) -> tuple[tuple[int, int], ...]:
     """Row l = (l/2, (l-1)/2), halves mod odd m, of the step of ``residue_sums``:
     its matrix A_m has +1 and -1 at these two columns of row l."""
@@ -93,6 +101,7 @@ def residue_sums(m: int, ys) -> dict[int, list[int]]:
     """
     if m < 1 or m % 2 == 0:
         raise ValueError(f"modulus must be odd and positive, got m={m}")
+    ys = list(ys)
     if min(ys, default=-1) < -1:
         raise ValueError("Y must be >= -1")
     rows = residue_rows(m)

@@ -3,9 +3,10 @@ import random
 import pytest
 
 from tmcorr import (NAIVE_LIMIT, build_transfer, char_poly, corr_fast, corr_naive,
-                    dilation_naive, dilation_sum, eps, shift_vectors)
-from tmcorr.correlation import shift_rows
-from tmcorr.digitseq import residue_rows
+                    count_classes_fast, count_classes_naive, dilation_naive, dilation_sum,
+                    eps, shift_vectors)
+from tmcorr.correlation import _corr_steps, shift_rows
+from tmcorr.digitseq import TABLE_CACHE, residue_rows
 
 
 def test_corr_naive_examples():
@@ -88,6 +89,29 @@ def test_shared_memo_is_pure():
     a = shift_vectors(5, [99991, 99990, 2 ** 17])[99991][2]
     b = shift_vectors(5, [99991])[99991][2]
     assert a == b == corr_fast(5, 2, 99991)
+
+
+def test_step_tables_are_shared_tuples_rebuilt_alike_after_eviction():
+    # the per-bit tables are built once per (q, width) and shared by every
+    # later call, so none of them may be mutable
+    for table in (*_corr_steps(7, 9), residue_rows(7)):
+        assert isinstance(table, tuple) and all(type(row) is tuple for row in table)
+    assert _corr_steps(7, 9) is _corr_steps(7, 9) and residue_rows(7) is residue_rows(7)
+    qs = list(range(1, 2 * TABLE_CACHE + 4, 2))   # more distinct q than a cache holds
+
+    def check(q):
+        for X in (0, 1, 2, 37, 64):
+            r = X % q
+            assert corr_fast(q, r, X) == corr_naive(q, r, X), (q, X)
+            assert dilation_sum(q, r, X) == dilation_naive(q, r, X), (q, X)
+            assert count_classes_fast(q, r, X) == count_classes_naive(q, r, X), (q, X)
+
+    for q in qs:
+        check(q)
+    misses = _corr_steps.cache_info().misses, residue_rows.cache_info().misses
+    check(qs[0])   # evicted: both of its tables are rebuilt
+    assert (_corr_steps.cache_info().misses, residue_rows.cache_info().misses) == (
+        misses[0] + 1, misses[1] + 1)
 
 
 BATCHES = (

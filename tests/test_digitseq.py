@@ -123,7 +123,9 @@ def _prefix_batches():
     return [[2**k for k in range(6, 13)],
             [*range(60, 68), *range(127, 130)],
             {0, 1, 5, 5, 2, 43, 21, 10, 11},
-            [rng.getrandbits(200) | 1 << 199 for _ in range(30)]]
+            [rng.getrandbits(200) | 1 << 199 for _ in range(30)],
+            # one distinct bound: walked in one call, without prefix bookkeeping
+            [0], [1], [2**200 + 12345], [77, 77]]
 
 
 @pytest.mark.parametrize("xs", _prefix_batches())
@@ -149,6 +151,11 @@ def test_residue_sums_equal_running_sums_by_residue():
         for Y in range(2001):
             running[Y % m] += eps(Y)
             assert got[Y] == running, (m, Y)
+
+
+def test_residue_sums_read_an_iterator_once():
+    assert residue_sums(3, (Y for Y in [5, 9])) == residue_sums(3, [5, 9]) == {
+        5: [2, -2, 0], 9: [4, -3, -1]}
 
 
 def test_residue_sums_refuse_outside_their_domain():
