@@ -9,9 +9,8 @@ direct loops double as test oracles.
 """
 
 from .digitseq import NAIVE_LIMIT, eps, class_of, eps_partial_sum, gelfond_count
-from .correlation import (CorrelationSystem, build_transfer, corr_fast,
-                          corr_naive, dilation_naive, dilation_sum,
-                          shift_vectors)
+from .correlation import (build_transfer, corr_fast, corr_naive,
+                          dilation_naive, dilation_sum, shift_vectors)
 from .spectral import (MonicIntPolynomial, RootFindingError, SpectralReport,
                        char_poly, cluster_roots, int_poly_gcd,
                        jordan_block_check, roots, spectral_report,
@@ -25,9 +24,9 @@ from .report import ExponentFit, SumLadder, emit, fit_exponent
 __version__ = "0.1.0"
 
 __all__ = [
-    "CorrelationSystem", "CountTable", "ExponentFit", "MonicIntPolynomial",
-    "NAIVE_LIMIT", "RationalPhase", "RootFindingError", "ScanResult",
-    "SpectralReport", "SumLadder", "build_transfer", "char_poly", "class_of",
+    "CountTable", "ExponentFit", "MonicIntPolynomial", "NAIVE_LIMIT",
+    "RationalPhase", "RootFindingError", "ScanResult", "SpectralReport",
+    "SumLadder", "build_transfer", "char_poly", "class_of",
     "cluster_roots", "corr_fast", "corr_naive", "count_adjacent",
     "count_adjacent_fast", "count_classes_fast", "count_classes_naive",
     "count_tables", "dilation_naive", "dilation_sum", "emit", "eps",

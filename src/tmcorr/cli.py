@@ -108,8 +108,7 @@ def cmd_eigen(args) -> str:
         raise ValueError("eigen output is json only")
     if args.q > MAX_DIM:                       # before the dense q x q transfer exists
         raise ValueError(f"dimension {args.q} exceeds limit {MAX_DIM}")
-    system = build_transfer(args.q)
-    rep = spectral_report(system, seed=args.seed)
+    rep = spectral_report(build_transfer(args.q), seed=args.seed)
     payload = {
         "q": args.q,
         "char_poly": list(rep.poly.coeffs),

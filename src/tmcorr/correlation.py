@@ -11,20 +11,20 @@ shared bit prefix once), equal to the direct loops for any X:
 
 - correlation: splitting n into even and odd halves the range and maps
   the shift s to s//2 and (q+s)//2, with a sign flip for odd s.  That
-  signed table (``shift_rows``) is the transfer matrix of
+  signed table (``digitseq.shift_rows``) is the transfer matrix T_q of
   ``build_transfer``.  The state is one list of all shifts at sizes
   floor(X/2^k) and floor(X/2^k) - 1; each bit maps it in one pass of a
   table of those rows, built once per q and width: O(q log X).
 - dilation: the qn + r, n < X, are the N = r (mod q) up to qX - 1, so U_q
   is one entry of the residue walk ``digitseq.residue_sums`` plus the
-  term n = X: O(q log qX).
+  term n = X: O(q log qX).  Its step is D_q, the same rows with the
+  (q+s)//2 term negated.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .digitseq import (NAIVE_LIMIT, check_naive_limit, eps,   # NAIVE_LIMIT: re-exported
-                       TABLE_CACHE, residue_sums, walk_prefixes)
+                       TABLE_CACHE, residue_sums, shift_rows, walk_prefixes)
 
 
 def _validate_batch(q: int, xs) -> None:
@@ -45,19 +45,6 @@ def corr_naive(q: int, r: int, X: int) -> int:
     _validate(q, r, X)
     check_naive_limit(X)
     return sum(eps(n) * eps(q * n + r) for n in range(1, X + 1))
-
-
-def shift_rows(q: int, size: int = 0) -> tuple[tuple[int, int, int], ...]:
-    """Row s = (sign, a, b) of the halving recursion for the shift alphabet
-    0..R, R = max(q, size) - 1.
-
-    The terms n = 2k of shift s are sign times the terms k of shift a = s//2;
-    the terms n = 2k+1 are sign times those k of shift b = (q+s)//2.
-    sign = -1 for odd s.  The alphabet is closed under both maps because
-    R >= q-1.  With the b term negated the rows form D_q, the transfer
-    matrix of the dilation sums, whose spectrum is still to be analysed.
-    """
-    return tuple((1 - 2 * (s & 1), s >> 1, (q + s) >> 1) for s in range(max(q, size)))
 
 
 @lru_cache(maxsize=TABLE_CACHE)
@@ -137,21 +124,9 @@ def dilation_naive(q: int, r: int, X: int) -> int:
     return sum(eps(q * n + r) for n in range(1, X + 1))
 
 
-@dataclass(frozen=True)
-class CorrelationSystem:
-    """Odd multiplier q with the transfer matrix of its shift recursion.
-
-    Row r of ``transfer`` holds the coefficients with which the prefixed
-    correlation at shift r decomposes into the half-size correlations;
-    the shift alphabet 0..q-1 is closed under the recursion.
-    """
-
-    q: int
-    transfer: tuple[tuple[int, ...], ...]
-
-
-def build_transfer(q: int) -> CorrelationSystem:
-    """Transfer matrix of the halving recursion for odd q >= 3.
+def build_transfer(q: int) -> tuple[tuple[int, ...], ...]:
+    """Transfer matrix T_q of the halving recursion for odd q >= 3: the q x q
+    tuple of its rows, the matrix ``spectral_report`` takes.
 
     Row r is ``shift_rows(q)[r]``: sign at columns r//2 and (q+r)//2, i.e.
     +1 at r//2 and (q+r-1)//2 for even r, -1 at (r-1)//2 and (q+r)//2 for
@@ -172,4 +147,4 @@ def build_transfer(q: int) -> CorrelationSystem:
         rows.append(tuple(row))
     if any(rows[q - 1 - r] != row[::-1] for r, row in enumerate(rows)):
         raise AssertionError(f"transfer matrix is not centrosymmetric: q={q}")
-    return CorrelationSystem(q=q, transfer=tuple(rows))
+    return tuple(rows)

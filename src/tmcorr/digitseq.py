@@ -4,7 +4,9 @@ The sign eps(n) = (-1)**s(n), with s(n) the number of ones in the binary
 expansion of n, splits the naturals into class 0 (even digit sum) and
 class 1 (odd digit sum).  Everything here is exact integer arithmetic.
 The fast paths run their steps on ``walk_prefixes``, which reads each bound
-from the top bit.
+from the top bit.  ``shift_rows`` is the one table of the halving recursion:
+with its sign at both columns it is the transfer matrix T_q, with the b
+column negated the step D_q of the residue walk ``residue_sums``.
 """
 
 from bisect import bisect_left, bisect_right
@@ -84,11 +86,25 @@ def walk_prefixes(xs, start, advance) -> dict:
     return out
 
 
+def shift_rows(q: int, size: int = 0) -> tuple[tuple[int, int, int], ...]:
+    """Row s = (sign, a, b) of the halving recursion for the shift alphabet
+    0..R, R = max(q, size) - 1.
+
+    The terms n = 2k of shift s are sign times the terms k of shift a = s//2;
+    the terms n = 2k+1 are sign times those k of shift b = (q+s)//2.
+    sign = -1 for odd s.  The alphabet is closed under both maps because
+    R >= q-1.  Sign at a and b gives the transfer matrix T_q of the
+    correlation sums; with the b term negated the rows form D_q, the step
+    matrix of the dilation sums (``residue_rows``).
+    """
+    return tuple((1 - 2 * (s & 1), s >> 1, (q + s) >> 1) for s in range(max(q, size)))
+
+
 @lru_cache(maxsize=TABLE_CACHE)
 def residue_rows(m: int) -> tuple[tuple[int, int], ...]:
-    """Row l = (l/2, (l-1)/2), halves mod odd m, of the step of ``residue_sums``:
-    its matrix A_m has +1 and -1 at these two columns of row l."""
-    return tuple((l * (m + 1) // 2 % m, (l - 1) * (m + 1) // 2 % m) for l in range(m))
+    """Row l = (column of +1, column of -1) of D_m, the step of ``residue_sums``:
+    ``shift_rows(m)`` with the b term negated, i.e. l/2 and (l-1)/2 mod m."""
+    return tuple((a, b) if g > 0 else (b, a) for g, a, b in shift_rows(m))
 
 
 def residue_sums(m: int, ys) -> dict[int, list[int]]:

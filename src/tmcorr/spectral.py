@@ -11,8 +11,9 @@ factor are found by Aberth-Ehrlich iteration (Bini 1996) on float copies of
 its coefficients, started on their Newton-polygon circles (restarts use
 Fujiwara-bound circles), and accepted on a backward-error bound.  The spectral
 radius of a correlation transfer matrix predicts the growth exponent
-log2(radius) of the correlation sums; spectral_report finds it on the two
-half-size mirror blocks of that centrosymmetric matrix.
+log2(radius) of the correlation sums; spectral_report takes that matrix and
+finds the radius on the two half-size mirror blocks of the centrosymmetric
+matrix.
 """
 
 import cmath
@@ -22,8 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from operator import add, neg, sub
-
-from .correlation import CorrelationSystem
 
 MAX_DIM = 64
 DEFAULT_SEED = 12345
@@ -406,7 +405,7 @@ def _mirror_blocks(T: IntMatrix) -> tuple[list[list[int]], list[list[int]]]:
     e_k + e_{n-1-k} (k < h), e_h and e_k - e_{n-1-k} of its mirror-symmetric and
     antisymmetric vectors, so det(xI - T) is their product (Cantoni-Butler 1976)."""
     n, h = len(T), len(T) // 2
-    if n % 2 == 0 or any(list(T[n - 1 - i])[::-1] != list(row) for i, row in enumerate(T)):
+    if n % 2 == 0 or any(T[n - 1 - i][::-1] != row for i, row in enumerate(T)):
         raise ValueError("matrix is not centrosymmetric of odd order")
     plus = [[row[k] + row[n - 1 - k] for k in range(h)] + [row[h]] for row in T[:h + 1]]
     minus = [[row[k] - row[n - 1 - k] for k in range(h)] for row in T[:h]]
@@ -424,25 +423,31 @@ class SpectralReport:
     exponent: float  # log2(radius): predicted correlation growth exponent
 
 
-def spectral_report(system: CorrelationSystem, seed: int = DEFAULT_SEED) -> SpectralReport:
-    """Spectrum of the transfer matrix and the exponent log2(spectral radius).
+def spectral_report(T, seed: int = DEFAULT_SEED) -> SpectralReport:
+    """Spectrum of the square integer matrix T and the exponent log2(spectral radius).
 
-    The transfer matrix is centrosymmetric (ValueError otherwise), so its
-    characteristic polynomial is the exact product of those of its half-size
-    mirror blocks.  Aberth-Ehrlich (_factor_roots, as in roots) runs once per
-    square-free, pairwise coprime piece of the two, so each distinct eigenvalue
-    is found once, with its exact multiplicity, even when both blocks have it.
+    T, such as a transfer matrix from ``build_transfer``, must be
+    centrosymmetric of odd order (ValueError otherwise), so its characteristic
+    polynomial is the exact product of those of its half-size mirror blocks;
+    the antisymmetric block of order 1 is empty and contributes 1.
+    Aberth-Ehrlich (_factor_roots, as in roots) runs once per square-free,
+    pairwise coprime piece of the two, so each distinct eigenvalue is found
+    once, with its exact multiplicity, even when both blocks have it.
+    ValueError is raised for a spectral radius of 0, which has no exponent.
     RootFindingError is raised if two distinct roots cluster
     (cluster_roots), which means the iteration missed one, or if the radius
     exceeds the exact Gershgorin bound, the largest row abs-sum.
     """
-    halves = [char_poly(block).coeffs for block in _mirror_blocks(system.transfer)]
+    T = _as_matrix(T)
+    halves = [char_poly(block).coeffs if block else (1,) for block in _mirror_blocks(T)]
     p = MonicIntPolynomial(coeffs=tuple(_poly_product(*halves)))
     spectrum = sorted(((z, m) for f, m in _coprime_pieces(halves)
                        for z in _factor_roots(f, ROOT_TOL, MAX_ITERATIONS, RESTARTS, seed)),
                       key=lambda zm: (zm[0].real, zm[0].imag))
     radius = max(abs(z) for z, _ in spectrum)
-    gershgorin = max(sum(map(abs, row)) for row in system.transfer)
+    if radius == 0:
+        raise ValueError("spectral radius is 0: no growth exponent")
+    gershgorin = max(sum(map(abs, row)) for row in T)
     if len(cluster_roots([z for z, _ in spectrum])) < len(spectrum):
         problem = "distinct roots cluster"
     elif radius > gershgorin * (1 + ROOT_TOL):    # slack for the rounding of radius

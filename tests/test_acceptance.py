@@ -165,7 +165,7 @@ def test_c3_s5_ladder_slope_and_spectral_exponent():
 # --- criterion 4: eigenstructure ---------------------------------------------
 
 def test_c4_eigenstructure():
-    p3 = char_poly(tuple(zip(*build_transfer(3).transfer)))
+    p3 = char_poly(tuple(zip(*build_transfer(3))))
     zs = sorted(roots(p3), key=lambda z: (z.real, z.imag))
     half_sqrt7 = math.sqrt(7) / 2
     expected = sorted([complex(0.5, -half_sqrt7), complex(0.5, half_sqrt7),
@@ -177,7 +177,7 @@ def test_c4_eigenstructure():
     mult_at_one = [m for z, m in rep5.roots if abs(z - 1) < 1e-6]
     assert mult_at_one == [2]
 
-    A1 = tuple(zip(*build_transfer(5).transfer))
+    A1 = tuple(zip(*build_transfer(5)))
     assert jordan_block_check(A1, 1) == 4
     _announce("C4", "q=3 spectrum exact to 1e-9; q=5 double root at 1, "
                     "rank(A1 - I) = 4")

@@ -140,19 +140,18 @@ def test_batch_equals_single_x_and_direct(xs):
 
 
 def test_transfer_q3_matches_recursion_coefficients():
-    system = build_transfer(3)
-    assert system.q == 3
-    assert system.transfer == ((1, 1, 0), (-1, 0, -1), (0, 1, 1))
+    T = build_transfer(3)
+    assert T == ((1, 1, 0), (-1, 0, -1), (0, 1, 1))
     # transpose is the classical 3x3 coefficient-propagation matrix
-    transpose = tuple(zip(*system.transfer))
+    transpose = tuple(zip(*T))
     assert transpose == ((1, -1, 0), (1, 0, 1), (0, -1, 1))
 
 
 def test_transfer_q5_rows():
-    system = build_transfer(5)
-    assert system.transfer[0] == (1, 0, 1, 0, 0)
-    assert system.transfer[1] == (-1, 0, 0, -1, 0)
-    transpose = tuple(zip(*system.transfer))
+    T = build_transfer(5)
+    assert T[0] == (1, 0, 1, 0, 0)
+    assert T[1] == (-1, 0, 0, -1, 0)
+    transpose = tuple(zip(*T))
     assert transpose == ((1, -1, 0, 0, 0),
                         (0, 0, 1, -1, 0),
                         (1, 0, 0, 0, 1),
@@ -162,8 +161,8 @@ def test_transfer_q5_rows():
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 15])
 def test_transfer_row_structure(q):
-    system = build_transfer(q)
-    for row in system.transfer:
+    T = build_transfer(q)
+    for row in T:
         nonzero = [v for v in row if v]
         assert len(nonzero) == 2
         assert all(v in (-1, 1) for v in nonzero)
@@ -181,7 +180,7 @@ def test_coefficient_duality(q):
     """Pairing a coefficient vector with the prefixed correlations commutes
     with one halving step through the transpose of the transfer matrix,
     up to the single boundary term of even X."""
-    system = build_transfer(q)
+    T = build_transfer(q)
     rng = random.Random(4242)
     for _ in range(40):
         X = rng.randrange(1, 5000)
@@ -191,7 +190,7 @@ def test_coefficient_duality(q):
         sums = shift_vectors(q, [X, X_half])
         prefixed = {Y: [v + eps(r) for r, v in enumerate(sums[Y])] for Y in sums}
         lhs = sum(c[r] * prefixed[X][r] for r in range(q))
-        ct = [sum(system.transfer[r][rp] * c[r] for r in range(q))
+        ct = [sum(T[r][rp] * c[r] for r in range(q))
               for rp in range(q)]
         rhs = sum(ct[rp] * prefixed[X_half][rp] for rp in range(q))
         if X % 2 == 0:
@@ -208,10 +207,13 @@ def test_coefficient_duality(q):
 @pytest.mark.parametrize("q", range(1, 64, 2))
 def test_residue_step_has_the_dilation_characteristic_polynomial(q):
     # the dilation engine walks residues with A_q (+1 at l/2, -1 at (l-1)/2
-    # mod q); it must take the residue sums at h to those at 2h+1, and share
-    # the characteristic polynomial of the shift recursion's dilation rows
-    # D_q (sign at s//2, minus sign at (q+s)//2).  That polynomial is odd,
-    # so it alone would not see a flipped sign: the first check does.
+    # mod q, the halves of the modular formula below); it must take the
+    # residue sums at h to those at 2h+1, and be the shift recursion's
+    # dilation rows D_q (sign at s//2, minus sign at (q+s)//2), from which
+    # residue_rows is derived.  The characteristic polynomial is odd, so it
+    # alone would not see a flipped sign: the direct loop and A == D do.
+    assert residue_rows(q) == tuple((l * (q + 1) // 2 % q, (l - 1) * (q + 1) // 2 % q)
+                                    for l in range(q))
     A = [[0] * q for _ in range(q)]
     for l, (a, b) in enumerate(residue_rows(q)):
         A[l][a] += 1
@@ -227,4 +229,5 @@ def test_residue_step_has_the_dilation_characteristic_polynomial(q):
     for s, (g, a, b) in enumerate(shift_rows(q)):
         D[s][a] += g
         D[s][b] -= g
+    assert A == D
     assert char_poly(A) == char_poly(D)

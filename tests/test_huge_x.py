@@ -60,7 +60,7 @@ def carry_automaton(q: int, X: int, corr: bool) -> list[int]:
 def transfer_power_corr(q: int, k: int) -> list[int]:
     """S_q(2^k, r) for all r from M^k (eps(s))_s plus the n = 2^k term."""
     rows = [[(c, m) for c, m in enumerate(row) if m]
-            for row in build_transfer(q).transfer]
+            for row in build_transfer(q)]
     v = [eps(s) for s in range(q)]
     for _ in range(k):
         v = [sum(m * v[c] for c, m in row) for row in rows]

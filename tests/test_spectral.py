@@ -114,16 +114,16 @@ def test_char_poly_identity_2x2():
 
 
 def test_char_poly_transfer_3():
-    A = tuple(zip(*build_transfer(3).transfer))
+    A = tuple(zip(*build_transfer(3)))
     p = char_poly(A)
     assert p.coeffs == (-2, 3, -2, 1)          # x^3 - 2x^2 + 3x - 2
     assert p.coeffs == char_poly_oracle(A)
     # transpose-invariant
-    assert char_poly(build_transfer(3).transfer).coeffs == p.coeffs
+    assert char_poly(build_transfer(3)).coeffs == p.coeffs
 
 
 def test_char_poly_transfer_5_factors():
-    A1 = tuple(zip(*build_transfer(5).transfer))
+    A1 = tuple(zip(*build_transfer(5)))
     p = char_poly(A1)
     assert p.coeffs == (2, -5, 4, 0, -2, 1)    # x^5 - 2x^4 + 4x^2 - 5x + 2
     assert p.coeffs == char_poly_oracle(A1)
@@ -169,7 +169,7 @@ def test_char_poly_matches_bareiss_oracle_random():
 
 def test_char_poly_transfer_matches_bareiss_oracle():
     for q in range(3, 64, 2):
-        M = build_transfer(q).transfer
+        M = build_transfer(q)
         assert char_poly(M).coeffs == char_poly_bareiss_oracle(M), q
 
 
@@ -342,7 +342,7 @@ def test_roots_conjugate_symmetry():
     conj = sorted((z.conjugate() for z in zs), key=lambda z: (z.real, z.imag))
     assert all(abs(a - b) == 0 for a, b in
                zip(sorted(zs, key=lambda z: (z.real, z.imag)), conj))
-    transfer = [char_poly(build_transfer(q).transfer).coeffs for q in range(3, 64, 2)]
+    transfer = [char_poly(build_transfer(q)).coeffs for q in range(3, 64, 2)]
     products = list(_shared_real_part_products(300, 2026))
     for coeffs in transfer + products:
         zs = roots(MonicIntPolynomial(coeffs=coeffs))
@@ -420,7 +420,7 @@ def test_aberth_work_on_the_transfer_polynomials(monkeypatch):
 
     monkeypatch.setattr(tmcorr.spectral, "_horner", counted)
     for q in range(3, 64, 2):
-        roots(char_poly(build_transfer(q).transfer))
+        roots(char_poly(build_transfer(q)))
     assert len(calls) <= 12_000, len(calls)
 
 
@@ -576,7 +576,7 @@ def test_int_poly_gcd_non_primitive_inputs():
 def test_int_poly_gcd_derivatives_of_transfer_polys():
     # q <= 41: the Fraction oracle alone takes seconds per q beyond
     for q in range(3, 42, 2):
-        p = char_poly(build_transfer(q).transfer)
+        p = char_poly(build_transfer(q))
         assert int_poly_gcd(p.coeffs, _derivative(p.coeffs)) == \
             fraction_gcd_oracle(p.coeffs, _derivative(p.coeffs)), q
 
@@ -664,7 +664,7 @@ def test_square_free_factors_powers_of_x_and_x_minus_1():
 
 def test_square_free_factors_of_transfer_polys():
     for q in range(3, 64, 2):
-        p = char_poly(build_transfer(q).transfer)
+        p = char_poly(build_transfer(q))
         factors = square_free_factors(p.coeffs)
         assert _rebuild(factors) == p.coeffs
         assert all(f[-1] == 1 for f, _ in factors)
@@ -700,7 +700,7 @@ def test_coprime_pieces_of_hand_made_inputs():
     assert _check_pieces([_poly_mul(x1, x2), _power(x1, 2), _poly_mul(x2, c)]) == \
         sorted([(tuple(x1), 3), (tuple(x2), 2), (tuple(c), 1)])
     # the 1 x 1 block of q = 3
-    plus, minus = tmcorr.spectral._mirror_blocks(build_transfer(3).transfer)
+    plus, minus = tmcorr.spectral._mirror_blocks(build_transfer(3))
     assert len(minus) == 1
     _check_pieces([char_poly(plus).coeffs, char_poly(minus).coeffs])
 
@@ -751,7 +751,7 @@ def test_spectral_report_q5():
 
 def test_spectral_report_every_odd_q_matches_numpy():
     for q in range(3, 64, 2):
-        M = build_transfer(q).transfer
+        M = build_transfer(q)
         rep = spectral_report(build_transfer(q))
         radius = float(max(abs(np.linalg.eigvals(np.array(M, dtype=float)))))
         assert abs(rep.radius - radius) <= 1e-9, q
@@ -826,7 +826,7 @@ def test_spectral_report_deterministic():
 def test_transfer_mirror_blocks_multiply_to_the_full_polynomial():
     # the full-matrix Faddeev-LeVerrier is the oracle for the block product
     for q in range(3, 64, 2):
-        T = build_transfer(q).transfer
+        T = build_transfer(q)
         assert all(T[q - 1 - i][q - 1 - j] == T[i][j] for i in range(q) for j in range(q)), q
         plus, minus = tmcorr.spectral._mirror_blocks(T)
         assert (len(plus), len(minus)) == (q // 2 + 1, q // 2)
@@ -837,9 +837,19 @@ def test_transfer_mirror_blocks_multiply_to_the_full_polynomial():
 
 def test_spectral_report_refuses_a_matrix_without_the_mirror_symmetry():
     for transfer in (((1, 1, 0), (0, 1, 1), (1, 0, 0)), ((1, 0), (0, 1))):
-        system = tmcorr.CorrelationSystem(q=len(transfer), transfer=transfer)
         with pytest.raises(ValueError, match="centrosymmetric"):
-            spectral_report(system)
+            spectral_report(transfer)
+
+
+def test_spectral_report_of_order_one_and_its_refusals():
+    # order 1 has an empty antisymmetric block, which contributes 1
+    rep = spectral_report(((5,),))
+    assert rep.poly.coeffs == (-5, 1)
+    assert rep.roots == ((5, 1),) and rep.radius == 5
+    with pytest.raises(ValueError, match="matrix must be square"):
+        spectral_report(((1, 1),))
+    with pytest.raises(ValueError, match="spectral radius is 0"):
+        spectral_report(((0, 0, 0),) * 3)
 
 
 def _eigenvalue_one(q):
@@ -849,7 +859,7 @@ def _eigenvalue_one(q):
 
 @pytest.mark.parametrize("q", [7, 9, 15, 31, 33, 51, 63])
 def test_eigenvalue_one_in_both_blocks_is_listed_once(q):
-    T = build_transfer(q).transfer
+    T = build_transfer(q)
     assert _eigenvalue_one(q) == [2]
     assert q - jordan_block_check(T, 1) == 2               # T is derogatory at 1
     for block in tmcorr.spectral._mirror_blocks(T):        # one eigenvector in each
@@ -858,7 +868,7 @@ def test_eigenvalue_one_in_both_blocks_is_listed_once(q):
 
 
 def test_eigenvalue_one_of_q5_lies_in_one_block():
-    T = build_transfer(5).transfer
+    T = build_transfer(5)
     plus, minus = tmcorr.spectral._mirror_blocks(T)
     assert char_poly(minus).coeffs == (1, -2, 1)            # (x - 1)^2
     assert sum(char_poly(plus).coeffs) != 0
@@ -898,7 +908,7 @@ def _engine_powers(q, J):
 def test_power_growth_matches_exact_matrix_powers():
     # the matrix that spectral_report analyses is the step of the sums
     for q in range(3, 64, 2):
-        T = build_transfer(q).transfer
+        T = build_transfer(q)
         vec = [eps(s) for s in range(q)]
         for j, got in enumerate(_engine_powers(q, 40)):
             assert got == vec, (q, j)
@@ -934,11 +944,11 @@ def test_jordan_identity():
 def test_jordan_q5_transfer():
     # rank 4 at eigenvalue 1: geometric multiplicity 1, so the double
     # eigenvalue sits in a single 2x2 Jordan block
-    assert jordan_block_check(build_transfer(5).transfer, 1) == 4
+    assert jordan_block_check(build_transfer(5), 1) == 4
 
 
 def test_jordan_q3_transfer():
-    assert jordan_block_check(build_transfer(3).transfer, 1) == 2
+    assert jordan_block_check(build_transfer(3), 1) == 2
 
 
 def test_jordan_random_rank_oracle():
