@@ -14,14 +14,13 @@ one walk of the correlation module per sum.
 direct loop ``count_adjacent`` is its oracle.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .digitseq import check_naive_limit, class_of, eps_partial_sum
 from .correlation import corr_fast, dilation_sum, shift_vectors
 
 
-@dataclass(frozen=True)
-class CountTable:
+class CountTable(namedtuple("CountTable", "q r X cells")):
     """2x2 table of class-pair counts for n - q*m = r over 1 <= m <= X.
 
     Only the cells are stored.  The deviation from the main term X/4 is
@@ -29,15 +28,13 @@ class CountTable:
     quarter units, and deviation(i, k) is the same divided by 4.
     """
 
-    q: int
-    r: int
-    X: int
-    cells: tuple[tuple[int, int], tuple[int, int]]
+    __slots__ = ()
 
-    def __post_init__(self):
-        total = sum(map(sum, self.cells))
-        if total != self.X:
-            raise ValueError(f"cells sum to {total}, expected X={self.X}")
+    def __new__(cls, q: int, r: int, X: int, cells: tuple[tuple[int, int], tuple[int, int]]):
+        total = sum(map(sum, cells))
+        if total != X:
+            raise ValueError(f"cells sum to {total}, expected X={X}")
+        return super().__new__(cls, q, r, X, cells)
 
     @property
     def deviations4(self) -> tuple[tuple[int, int], tuple[int, int]]:

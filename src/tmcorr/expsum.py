@@ -15,8 +15,8 @@ modulus: a phase scan walks only p <= grid/2.
 
 import cmath
 import math
+from collections import namedtuple
 from operator import mul, sub
-from dataclasses import dataclass
 
 from .digitseq import NAIVE_LIMIT, check_naive_limit, eps   # NAIVE_LIMIT: re-exported
 MAX_PRODUCT_LEVELS = 50
@@ -41,19 +41,16 @@ def _cis(p: int, q: int) -> complex:
     return cmath.exp(1j * _TWO_PI * (q - p) / q).conjugate()
 
 
-@dataclass(frozen=True)
-class RationalPhase:
+class RationalPhase(namedtuple("RationalPhase", "p q")):
     """Phase p/q reduced mod 1; 0 <= p < q and gcd(p, q) = 1."""
 
-    p: int
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.q < 1:
+    def __new__(cls, p: int, q: int):
+        if q < 1:
             raise ValueError("denominator must be positive")
-        g = math.gcd(self.p, self.q)
-        object.__setattr__(self, "p", self.p % self.q // g)
-        object.__setattr__(self, "q", self.q // g)
+        g = math.gcd(p, q)
+        return super().__new__(cls, p % q // g, q // g)
 
 
 def expsum_naive(alpha: RationalPhase, X: int) -> complex:
@@ -121,14 +118,10 @@ def product_formula(alpha: RationalPhase, k: int) -> complex:
     return result
 
 
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(namedtuple("ScanResult", "X grid max_modulus argmax_p")):
     """Maximum modulus of f(X, p/grid) over p = 1..grid-1 (attained at p <= grid/2)."""
 
-    X: int
-    grid: int
-    max_modulus: float
-    argmax_p: int
+    __slots__ = ()
 
 
 def scan_alpha(X: int, grid: int) -> ScanResult:

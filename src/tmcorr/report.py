@@ -13,8 +13,7 @@ the least-squares slope in log2-log2 space.
 
 import json
 import math
-import statistics
-from dataclasses import dataclass
+from collections import namedtuple
 
 
 def format_number(x) -> str:
@@ -49,40 +48,37 @@ def emit(payload: dict, format: str = "csv", columns=()) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class SumLadder:
+class SumLadder(namedtuple("SumLadder", "samples")):
     """(X, value) samples with strictly increasing X."""
 
-    samples: tuple[tuple[int, float], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        xs = [x for x, _ in self.samples]
+    def __new__(cls, samples: tuple[tuple[int, float], ...]):
+        xs = [x for x, _ in samples]
         if any(b <= a for a, b in zip(xs, xs[1:])):
             raise ValueError("ladder X values must be strictly increasing")
         if any(x < 0 for x in xs):
             raise ValueError("ladder X values must be nonnegative")
+        return super().__new__(cls, samples)
 
 
-@dataclass(frozen=True)
-class ExponentFit:
+class ExponentFit(namedtuple("ExponentFit",
+                             "slope intercept max_residual n_samples n_clamped")):
     """Least-squares line in log2-log2 space.
 
     n_clamped counts samples whose value was clamped from below to 1
     before taking logs (exact cancellations produce zero values).
     """
 
-    slope: float
-    intercept: float
-    max_residual: float
-    n_samples: int
-    n_clamped: int
+    __slots__ = ()
 
 
 def fit_exponent(ladder: SumLadder) -> ExponentFit:
     """Ordinary least squares of log2(value) against log2(X).
 
-    Needs >= 3 samples with X >= 2; values below 1 (including exact
-    zeros) are clamped to 1 and counted in n_clamped.
+    Needs >= 3 samples with X >= 2 and log2(X) not all equal; values below 1
+    (including exact zeros) are clamped to 1 and counted in n_clamped.  The
+    sums are math.fsum's, as in statistics.linear_regression of Python 3.11.
     """
     if len(ladder.samples) < 3:
         raise ValueError("need >= 3 samples")
@@ -93,7 +89,12 @@ def fit_exponent(ladder: SumLadder) -> ExponentFit:
     xs = [math.log2(x) for x, _ in ladder.samples]
     n_clamped = sum(1 for _, v in ladder.samples if v < 1)
     ys = [math.log2(max(v, 1.0)) for _, v in ladder.samples]
-    slope, intercept = statistics.linear_regression(xs, ys)
+    xbar, ybar = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
+    sxx = math.fsum((x - xbar) * (x - xbar) for x in xs)
+    if not sxx:
+        raise ValueError("x is constant")
+    slope = math.fsum((x - xbar) * (y - ybar) for x, y in zip(xs, ys)) / sxx
+    intercept = ybar - slope * xbar
     max_residual = max(abs(y - (slope * x + intercept)) for x, y in zip(xs, ys))
     return ExponentFit(slope=slope, intercept=intercept,
                        max_residual=max_residual,

@@ -19,8 +19,7 @@ matrix.
 import cmath
 import math
 import random
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from itertools import zip_longest
 from operator import add, neg, sub
 
@@ -83,19 +82,20 @@ def _row_combination(nonzero: tuple[tuple[int, int], ...], B) -> list[int]:
     return [sum(v * B[t][j] for t, v in nonzero) for j in range(len(B))]
 
 
-@dataclass(frozen=True)
-class MonicIntPolynomial:
-    """Monic polynomial with integer coefficients, ascending order."""
+class MonicIntPolynomial(namedtuple("MonicIntPolynomial", "coeffs")):
+    """Monic polynomial with integer coefficients, ascending order:
+    coeffs[k] multiplies x**k and coeffs[-1] == 1."""
 
-    coeffs: tuple[int, ...]  # coeffs[k] multiplies x**k; coeffs[-1] == 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.coeffs) < 2:
+    def __new__(cls, coeffs: tuple[int, ...]):
+        if len(coeffs) < 2:
             raise ValueError("polynomial must have degree >= 1")
-        if self.coeffs[-1] != 1:
+        if coeffs[-1] != 1:
             raise ValueError("polynomial must be monic")
-        if any(not isinstance(c, int) for c in self.coeffs):
+        if any(not isinstance(c, int) for c in coeffs):
             raise ValueError("coefficients must be integers")
+        return super().__new__(cls, coeffs)
 
     @property
     def degree(self) -> int:
@@ -171,11 +171,12 @@ def _factor_roots(f: tuple[int, ...], tol: float, max_iterations: int,
         return [complex(-cf[0])]
     terms = [(c, abs(c)) for c in reversed(cf)]
     fujiwara = 2.0 * max(abs(cf[deg - k]) ** (1.0 / k) for k in range(1, deg + 1))
-    rng = random.Random(seed)
     for attempt in range(restarts + 1):
         if attempt == 0:
             zs = _newton_polygon_starts(cf)
         else:
+            if attempt == 1:              # a generator only for a factor that restarts
+                rng = random.Random(seed)
             jitter, radius = rng.random(), fujiwara * (0.5 + rng.random())
             zs = [radius * cmath.exp(2j * math.pi * (k + jitter) / deg) for k in range(deg)]
         _aberth(cf, zs, max_iterations)
@@ -412,15 +413,12 @@ def _mirror_blocks(T: IntMatrix) -> tuple[list[list[int]], list[list[int]]]:
     return plus, minus
 
 
-@dataclass(frozen=True)
-class SpectralReport:
-    """Characteristic polynomial, spectrum with exact multiplicities, and
-    growth exponent."""
+class SpectralReport(namedtuple("SpectralReport", "poly roots radius exponent")):
+    """Characteristic polynomial (a MonicIntPolynomial), spectrum as (root,
+    algebraic multiplicity) pairs, spectral radius, and the predicted
+    correlation growth exponent log2(radius)."""
 
-    poly: MonicIntPolynomial
-    roots: tuple[tuple[complex, int], ...]  # (root, algebraic multiplicity)
-    radius: float
-    exponent: float  # log2(radius): predicted correlation growth exponent
+    __slots__ = ()
 
 
 def spectral_report(T, seed: int = DEFAULT_SEED) -> SpectralReport:
@@ -459,31 +457,29 @@ def spectral_report(T, seed: int = DEFAULT_SEED) -> SpectralReport:
 
 
 def jordan_block_check(M, eigval: int) -> int:
-    """rank(M - eigval*I) by exact fraction-free elimination.
+    """rank(M - eigval*I) by exact fraction-free (Bareiss) integer elimination.
 
     dim - rank is the geometric multiplicity of eigval; together with the
-    algebraic multiplicity it pins down the Jordan block sizes.
+    algebraic multiplicity it pins down the Jordan block sizes.  After each
+    step an entry is a minor on the pivot rows and columns so far (Sylvester's
+    identity), so the division by the previous pivot is exact, also past a
+    column with no pivot.
     """
     if not isinstance(eigval, int):
         raise ValueError("eigval must be an exact integer")
-    A = _as_matrix(M)
-    n = len(A)
-    rows = [[Fraction(A[i][j] - (eigval if i == j else 0)) for j in range(n)]
-            for i in range(n)]
-    rank = 0
-    col = 0
-    while rank < n and col < n:
-        pivot = next((i for i in range(rank, n) if rows[i][col] != 0), None)
+    rows = [[v - eigval if i == j else v for j, v in enumerate(row)]
+            for i, row in enumerate(_as_matrix(M))]
+    n = len(rows)
+    rank, prev = 0, 1
+    for col in range(n):
+        pivot = next((i for i in range(rank, n) if rows[i][col]), None)
         if pivot is None:
-            col += 1
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][col]
+        top = rows[rank]
         for i in range(rank + 1, n):
-            if rows[i][col] != 0:
-                f = rows[i][col] / inv
-                for j in range(col, n):
-                    rows[i][j] -= f * rows[rank][j]
+            f = rows[i][col]
+            rows[i] = [(top[col] * x - f * y) // prev for x, y in zip(rows[i], top)]
+        prev = top[col]
         rank += 1
-        col += 1
     return rank

@@ -17,6 +17,7 @@ def test_phase_normalization():
     assert (RationalPhase(-1, 3).p, RationalPhase(-1, 3).q) == (2, 3)
     assert (RationalPhase(2, 4).p, RationalPhase(2, 4).q) == (1, 2)
     assert (RationalPhase(0, 7).p, RationalPhase(0, 7).q) == (0, 1)
+    assert RationalPhase(2, 4) == RationalPhase(1, 2)
 
 
 def test_phase_rejects_bad_denominator():

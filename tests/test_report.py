@@ -1,9 +1,14 @@
 import csv
 import io
 import json
+import math
+import random
+import statistics
+import sys
 
 import pytest
 
+import tmcorr.cli
 from tmcorr import (RationalPhase, SumLadder, count_classes_fast, emit,
                     fit_exponent, product_formula)
 from tmcorr.cli import main
@@ -57,6 +62,26 @@ def test_fit_validation():
         fit_exponent(_ladder([(1, 1.0), (8, 2.0), (16, 3.0)]))  # X < 2
     with pytest.raises(ValueError):
         fit_exponent(_ladder([(4, 1.0), (8, -2.0), (16, 3.0)]))  # negative value
+    with pytest.raises(ValueError):                         # log2(X) all 60.0
+        fit_exponent(_ladder([(2 ** 60, 1.0), (2 ** 60 + 1, 2.0), (2 ** 60 + 2, 3.0)]))
+
+
+def test_fit_matches_statistics_linear_regression():
+    # the same fsum formula as 3.10/3.11; 3.12+ sums the products with sumprod
+    rng = random.Random(21)
+    for _ in range(200):
+        exps = sorted(rng.sample(range(1, 300), rng.randint(3, 40)))
+        samples = [(2 ** e + rng.randrange(2 ** e), rng.choice((0.0, rng.uniform(0, 2 ** e))))
+                   for e in exps]
+        fit = fit_exponent(_ladder(samples))
+        xs = [math.log2(x) for x, _ in samples]
+        ys = [math.log2(max(v, 1.0)) for _, v in samples]
+        want = statistics.linear_regression(xs, ys)
+        for got, expected in ((fit.slope, want.slope), (fit.intercept, want.intercept)):
+            if sys.version_info < (3, 12):
+                assert got == expected, samples
+            else:
+                assert got == pytest.approx(expected, rel=1e-12, abs=1e-12), samples
 
 
 def test_ladder_requires_increasing_X():
@@ -64,6 +89,8 @@ def test_ladder_requires_increasing_X():
         SumLadder(samples=((8, 1.0), (4, 2.0)))
     with pytest.raises(ValueError):
         SumLadder(samples=((4, 1.0), (4, 2.0)))
+    with pytest.raises(ValueError):
+        SumLadder(samples=((-1, 1.0), (4, 2.0)))
 
 
 def _cli_stdout(capsys, *argv):
@@ -132,3 +159,30 @@ def test_emit_rejects_unknown():
         emit({"rows": [{"X": 4}]}, "csv", ["X", "value"])
     with pytest.raises(ValueError):
         emit({"rows": []}, "yaml")
+
+
+def test_emit_never_receives_a_record_whole(capsys, monkeypatch, tmp_path):
+    # the records are tuples, which json.dumps would print as bare lists
+    payloads = []
+
+    def spy(payload, format="csv", columns=()):
+        payloads.append(payload)
+        return emit(payload, format, columns)
+
+    def parts(value):
+        yield value
+        if isinstance(value, dict):
+            value = list(value.values())
+        if isinstance(value, (list, tuple)):
+            for item in value:
+                yield from parts(item)
+
+    monkeypatch.setattr(tmcorr.cli, "emit", spy)
+    ladder = str(tmp_path / "l.csv")
+    for argv in (["corr", "3", "0", "2^10..2^20", "--out", ladder], ["fit", ladder],
+                 ["count", "5", "all", "2^4..2^8", "--format", "json"],
+                 ["adjacent", "2^4..2^6", "--format", "json"],
+                 ["scan", "2^10", "12", "--format", "json"], ["eigen", "5"]):
+        assert main(argv) == 0, argv
+    assert len(payloads) == 6
+    assert not [v for p in payloads for v in parts(p) if hasattr(v, "_fields")]

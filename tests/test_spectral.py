@@ -1,5 +1,7 @@
+import cmath
 import math
 import random
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -254,6 +256,8 @@ def test_monic_polynomial_validation():
         MonicIntPolynomial(coeffs=(1, 2))          # leading coeff != 1
     with pytest.raises(ValueError):
         MonicIntPolynomial(coeffs=(1,))            # degree 0
+    with pytest.raises(ValueError):
+        MonicIntPolynomial(coeffs=(1.0, 1))        # not an integer
 
 
 # --- roots -------------------------------------------------------------------
@@ -769,6 +773,32 @@ def test_spectral_report_seed_matters_only_on_restart():
             assert spectral_report(build_transfer(q), seed=seed) == want
 
 
+def test_root_finder_builds_its_generator_on_the_first_restart(monkeypatch):
+    built, starts = [], []
+
+    class Counted(random.Random):
+        def __init__(self, seed):
+            built.append(seed)
+            super().__init__(seed)
+
+    monkeypatch.setattr(tmcorr.spectral, "random", types.SimpleNamespace(Random=Counted))
+    for q in (5, 25, 31, 63):
+        spectral_report(build_transfer(q))
+    assert built == []                    # no factor of these restarts
+    # a factor whose every start fails: one generator, and its draws place
+    # the restart circles as the docstring of roots says
+    monkeypatch.setattr(tmcorr.spectral, "_aberth", lambda cf, zs, its: starts.append(list(zs)))
+    f = (1, 5, -3, 2, 0, -7, 1, 4, -1, 2, 1)
+    with pytest.raises(RootFindingError):
+        tmcorr.spectral._factor_roots(f, 1e-30, 5, 3, 99)
+    assert built == [99] and len(starts) == 4
+    rng, deg = random.Random(99), len(f) - 1
+    fujiwara = 2.0 * max(abs(f[deg - k]) ** (1.0 / k) for k in range(1, deg + 1))
+    for zs in starts[1:]:
+        jitter, radius = rng.random(), fujiwara * (0.5 + rng.random())
+        assert zs == [radius * cmath.exp(2j * math.pi * (k + jitter) / deg) for k in range(deg)]
+
+
 def test_spectral_report_rejects_clustered_and_out_of_bound_roots(monkeypatch):
     true_factor_roots = tmcorr.spectral._factor_roots
     system = build_transfer(5)
@@ -951,11 +981,47 @@ def test_jordan_q3_transfer():
     assert jordan_block_check(build_transfer(3), 1) == 2
 
 
+def _pivot_columns(M):
+    """The pivot columns of M by Gaussian elimination over Fraction: an oracle
+    for the rank that shares no arithmetic with the integer Bareiss steps."""
+    rows = [[Fraction(v) for v in row] for row in M]
+    pivots = []
+    for col in range(len(rows[0])):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        for i in range(r + 1, len(rows)):
+            f = rows[i][col] / rows[r][col]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+    return pivots
+
+
 def test_jordan_random_rank_oracle():
+    # B = M - ev I is random, or has columns that combine earlier ones (zero
+    # combinations too), or is a product of rank <= k; the dependent columns
+    # get no pivot, where the exactness of Bareiss' division needs care
     rng = random.Random(55)
-    for n in (2, 3, 4, 5):
-        for _ in range(6):
-            M = _random_matrix(rng, n)
-            for ev in (-1, 0, 1):
-                shifted = np.array(M, dtype=float) - ev * np.eye(n)
-                assert jordan_block_check(M, ev) == np.linalg.matrix_rank(shifted)
+    gaps = 0
+    for n in (2, 3, 4, 5, 6):
+        for _ in range(20):
+            k = rng.randrange(n)
+            left, right = _random_matrix(rng, n), _random_matrix(rng, n)
+            dependent = [list(row) for row in _random_matrix(rng, n)]
+            for j in rng.sample(range(1, n), rng.randint(1, n - 1)):
+                c = [rng.randint(-2, 2) for _ in range(j)]
+                for row in dependent:
+                    row[j] = sum(x * y for x, y in zip(c, row))
+            product = [[sum(row[t] * right[t][j] for t in range(k)) for j in range(n)]
+                       for row in left]
+            for B in (_random_matrix(rng, n), dependent, product):
+                ev = rng.randint(-3, 3)
+                M = tuple(tuple(v + ev * (i == j) for j, v in enumerate(row))
+                          for i, row in enumerate(B))
+                pivots = _pivot_columns(B)
+                assert jordan_block_check(M, ev) == len(pivots), (B, ev)
+                assert len(pivots) == np.linalg.matrix_rank(np.array(B, dtype=float)), B
+                gaps += pivots != list(range(len(pivots)))
+    assert gaps >= 40                     # a column without a pivot before a later pivot
