@@ -13,8 +13,9 @@ shared bit prefix once), equal to the direct loops for any X:
   the shift s to s//2 and (q+s)//2, with a sign flip for odd s.  That
   signed table (``digitseq.shift_rows``) is the transfer matrix T_q of
   ``build_transfer``.  The state is one list of all shifts at sizes
-  floor(X/2^k) and floor(X/2^k) - 1; each bit maps it in one pass of a
-  table of those rows, built once per q and width: O(q log X).
+  floor(X/2^k) and floor(X/2^k) - 1, entry s folded by eps(s), so each bit
+  is E T_q E (E = diag(eps(s)), similar to T_q): one add or one subtract per
+  entry, in one pass of a table built once per q and width: O(q log X).
 - dilation: the qn + r, n < X, are the N = r (mod q) up to qX - 1, so U_q
   is one entry of the residue walk ``digitseq.residue_sums`` plus the
   term n = X: O(q log qX).  Its step is D_q, the same rows with the
@@ -48,33 +49,36 @@ def corr_naive(q: int, r: int, X: int) -> int:
 
 
 @lru_cache(maxsize=TABLE_CACHE)
-def _corr_steps(q: int, width: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+def _corr_steps(q: int, width: int) -> tuple[tuple[tuple[bool, int, int], ...], ...]:
     """The '0'-bit and '1'-bit tables of ``_corr_vectors``: ``shift_rows``
-    (g, a, b) offset into the state, each new entry g (S[i] + S[j])."""
-    rows = shift_rows(q, width)
-    return (tuple((g, a, width + b) for g, a, b in rows)
-            + tuple((g, width + a, width + b) for g, a, b in rows),
-            tuple((g, a, b) for g, a, b in rows)
-            + tuple((g, a, width + b) for g, a, b in rows))
+    (g, a, b) offset into the state as (p, a, b), p = (eps(a) == eps(b))."""
+    rows = [(eps(a) == eps(b), a, b) for _, a, b in shift_rows(q, width)]
+    return (tuple((p, a, width + b) for p, a, b in rows)
+            + tuple((p, width + a, width + b) for p, a, b in rows),
+            tuple((p, a, b) for p, a, b in rows)
+            + tuple((p, a, width + b) for p, a, b in rows))
 
 
 def _corr_vectors(q: int, xs, size: int = 0) -> dict[int, list[int]]:
-    """X -> [sum_{n=0..X} eps(n) eps(qn+s) for s in 0..R] (R as in shift_rows).
+    """X -> [G_s(X) for s in 0..R] (R as in shift_rows), the folded sums
+    G_s(Y) = eps(s) sum_{n=0..Y} eps(n) eps(qn+s).
 
-    With F(Y) that vector at Y, the state at a bit prefix h is one list,
-    F(h) then F(h-1) at offset width, from F(0) = eps(s) and F(-1) = 0; the
-    table of bit c (``_corr_steps``) gives the state at 2h+c in one pass,
-    the halves of 2h+c and 2h+c-1 being h or h-1.
+    Row (g, a, b) of ``shift_rows`` has s = 2a + (s & 1), so eps(s) g = eps(a)
+    and the step F'_s = g (F_a + F_b) of F = eps(s) G is G'_s = G_a + eps(a)
+    eps(b) G_b: E T_q E, so along X = 2^j - 1 the walk reads E T_q^j e, e =
+    (eps(s))_s.  The state at a bit prefix h is G(h) then G(h-1) at offset
+    width, from G(0) = 1 and G(-1) = 0; bit c's table (``_corr_steps``) gives
+    the state at 2h+c in one pass, the halves of 2h+c and 2h+c-1 being h or h-1.
     """
     width = max(q, size)
     steps = _corr_steps(q, width)
 
     def advance(S, bits):
         for c in bits:
-            S = [S[i] + S[j] if g > 0 else -S[i] - S[j] for g, i, j in steps[c == "1"]]
+            S = [S[i] + S[j] if p else S[i] - S[j] for p, i, j in steps[c == "1"]]
         return S
 
-    start = [eps(s) for s in range(width)] + [0] * width
+    start = [1] * width + [0] * width
     return {X: S[:width] for X, S in walk_prefixes(xs, start, advance).items()}
 
 
@@ -92,8 +96,8 @@ def shift_vectors(q: int, xs, dilation: bool = False, size: int = 0) -> dict[int
     width = max(q, size)
     base = [eps(r) for r in range(width)]   # the n = 0 terms
     if not dilation:
-        full = _corr_vectors(q, xs, size)
-        return {X: [v - e for v, e in zip(full[X], base)] for X in full}
+        full = _corr_vectors(q, xs, size)   # S_q = eps(r) (G_r - 1)
+        return {X: [v - 1 if e > 0 else 1 - v for v, e in zip(full[X], base)] for X in full}
     R = residue_sums(q, {q * X - 1 for X in xs})   # the terms n = 0..X-1
     out = {}
     for X in xs:
@@ -107,7 +111,8 @@ def shift_vectors(q: int, xs, dilation: bool = False, size: int = 0) -> dict[int
 def corr_fast(q: int, r: int, X: int) -> int:
     """S_q(X, r), identical to corr_naive, in O(q log X)."""
     _validate(q, r, X)
-    return _corr_vectors(q, (X,))[X][r] - eps(r)
+    v = _corr_vectors(q, (X,))[X][r]
+    return v - 1 if eps(r) > 0 else 1 - v
 
 
 def dilation_sum(q: int, r: int, X: int) -> int:

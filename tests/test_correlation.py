@@ -114,6 +114,49 @@ def test_step_tables_are_shared_tuples_rebuilt_alike_after_eviction():
         misses[0] + 1, misses[1] + 1)
 
 
+
+def _pair_state_matrix(q, w, c):
+    """The signed 2w x 2w step of the plain sums F(h), F(h-1) -> F(2h+c),
+    F(2h+c-1), from ``shift_rows``: the terms n = 2k and n = 2k+1 of the sum
+    up to 2h+d run over k <= h + d//2 and k <= h + (d-1)//2."""
+    M = [[0] * (2 * w) for _ in range(2 * w)]
+    for top, d in ((0, c), (w, c - 1)):
+        even, odd = (0 if d // 2 == 0 else w), (0 if (d - 1) // 2 == 0 else w)
+        for s, (g, a, b) in enumerate(shift_rows(q, w)):
+            M[top + s][even + a] += g
+            M[top + s][odd + b] += g
+    return M
+
+
+@pytest.mark.parametrize("q", range(1, 64, 2))
+def test_folded_step_tables_are_the_sign_similar_pair_steps(q):
+    # the engine steps the folded state G = eps(s) F, so its bit tables must
+    # be E M_c E, E = diag(eps), with M_c the plain pair-state step
+    for w in (q, q + 4):
+        E = [eps(k % w) for k in range(2 * w)]
+        for c, table in enumerate(_corr_steps(q, w)):
+            A = [[0] * (2 * w) for _ in range(2 * w)]
+            for k, (p, i, j) in enumerate(table):
+                A[k][i] += 1
+                A[k][j] += 1 if p else -1
+            M = _pair_state_matrix(q, w, c)
+            assert A == [[E[k] * v * E[i] for i, v in enumerate(row)]
+                         for k, row in enumerate(M)], (q, w, c)
+
+
+@pytest.mark.parametrize("q", [1, 3, 7, 15])
+def test_shift_vectors_above_q_equal_direct_loop(q):
+    # shifts r >= q are read from the folded state with the sign eps(r) too;
+    # corr_naive refuses them, so the direct loop is written out here
+    size, xs = q + 5, [0, 1, 2, 37, 1000]
+    corr = shift_vectors(q, xs, size=size)
+    dil = shift_vectors(q, xs, dilation=True, size=size)
+    for X in xs:
+        assert corr[X] == [sum(eps(n) * eps(q * n + r) for n in range(1, X + 1))
+                           for r in range(size)], (q, X)
+        assert dil[X] == [sum(eps(q * n + r) for n in range(1, X + 1))
+                          for r in range(size)], (q, X)
+
 BATCHES = (
     [2, 5, 10, 11, 21, 43],                        # each bit string a prefix of the next
     [43, 11, 0, 21, 2, 1, 43, 5, 0, 10, 1, 11],    # unsorted, duplicated, with 0 and 1
