@@ -16,27 +16,26 @@ shared bit prefix once), equal to the direct loops for any X:
   floor(X/2^k) and floor(X/2^k) - 1, entry s folded by eps(s), so each bit
   is E T_q E (E = diag(eps(s)), similar to T_q): one add or one subtract per
   entry, in one pass of a table built once per q and width: O(q log X).
-- dilation: the qn + r, n < X, are the N = r (mod q) up to qX - 1, so U_q
-  is one entry of the residue walk ``digitseq.residue_sums`` plus the
-  term n = X: O(q log qX).  Its step is D_q, the same rows with the
-  (q+s)//2 term negated.
+- dilation: the qn + r, n <= X, are the N = r (mod q) up to qX + r, so U_q
+  is one entry of the residue walk ``digitseq.residue_sums`` less the term
+  n = 0: O(q log qX).  Its step is D_q, the same rows with the (q+s)//2
+  term negated.
+
+One (q, r, X) walks to X >> 1 (to (qX + r) >> 1 for U) and then computes
+only row r of the last bit's table; a batch keeps every row.
 """
 
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .digitseq import (NAIVE_LIMIT, check_naive_limit, eps,   # NAIVE_LIMIT: re-exported
-                       TABLE_CACHE, residue_sums, shift_rows, walk_prefixes)
-
-
-def _validate_batch(q: int, xs) -> None:
-    if q < 1 or q % 2 == 0:
-        raise ValueError("multiplier must be odd")
-    if any(X < 0 for X in xs):
-        raise ValueError("X must be nonnegative")
+                       TABLE_CACHE, residue_entry, residue_sums, shift_rows, walk_prefixes)
 
 
 def _validate(q: int, r: int, X: int) -> None:
-    _validate_batch(q, (X,))
+    if q < 1 or q % 2 == 0:
+        raise ValueError("multiplier must be odd")
+    if X < 0:
+        raise ValueError("X must be nonnegative")
     if not 0 <= r < q:
         raise ValueError(f"shift must satisfy 0 <= r < q, got r={r} q={q}")
 
@@ -50,7 +49,7 @@ def corr_naive(q: int, r: int, X: int) -> int:
 
 @lru_cache(maxsize=TABLE_CACHE)
 def _corr_steps(q: int, width: int) -> tuple[tuple[tuple[bool, int, int], ...], ...]:
-    """The '0'-bit and '1'-bit tables of ``_corr_vectors``: ``shift_rows``
+    """The '0'-bit and '1'-bit tables of ``_corr_walk``: ``shift_rows``
     (g, a, b) offset into the state as (p, a, b), p = (eps(a) == eps(b))."""
     rows = [(eps(a) == eps(b), a, b) for _, a, b in shift_rows(q, width)]
     return (tuple((p, a, width + b) for p, a, b in rows)
@@ -59,27 +58,35 @@ def _corr_steps(q: int, width: int) -> tuple[tuple[tuple[bool, int, int], ...], 
             + tuple((p, a, width + b) for p, a, b in rows))
 
 
-def _corr_vectors(q: int, xs, size: int = 0) -> dict[int, list[int]]:
-    """X -> [G_s(X) for s in 0..R] (R as in shift_rows), the folded sums
-    G_s(Y) = eps(s) sum_{n=0..Y} eps(n) eps(qn+s).
+def _corr_walk(steps, S, bits):
+    """The folded state after the '0'/'1' string ``bits``, from state ``S``.
 
-    Row (g, a, b) of ``shift_rows`` has s = 2a + (s & 1), so eps(s) g = eps(a)
-    and the step F'_s = g (F_a + F_b) of F = eps(s) G is G'_s = G_a + eps(a)
-    eps(b) G_b: E T_q E, so along X = 2^j - 1 the walk reads E T_q^j e, e =
-    (eps(s))_s.  The state at a bit prefix h is G(h) then G(h-1) at offset
-    width, from G(0) = 1 and G(-1) = 0; bit c's table (``_corr_steps``) gives
+    The state at a bit prefix h is [G_s(h) for s in 0..R] (R as in
+    shift_rows), then G(h-1) at offset width, with the folded sums
+    G_s(Y) = eps(s) sum_{n=0..Y} eps(n) eps(qn+s), from G(0) = 1 and
+    G(-1) = 0.  Row (g, a, b) of ``shift_rows`` has s = 2a + (s & 1), so
+    eps(s) g = eps(a) and the step F'_s = g (F_a + F_b) of F = eps(s) G is
+    G'_s = G_a + eps(a) eps(b) G_b: E T_q E, so along X = 2^j - 1 the walk
+    reads E T_q^j e, e = (eps(s))_s.  Bit c's table (``_corr_steps``) gives
     the state at 2h+c in one pass, the halves of 2h+c and 2h+c-1 being h or h-1.
     """
-    width = max(q, size)
-    steps = _corr_steps(q, width)
+    for c in bits:
+        S = [S[i] + S[j] if p else S[i] - S[j] for p, i, j in steps[c == "1"]]
+    return S
 
-    def advance(S, bits):
-        for c in bits:
-            S = [S[i] + S[j] if p else S[i] - S[j] for p, i, j in steps[c == "1"]]
-        return S
 
-    start = [1] * width + [0] * width
-    return {X: S[:width] for X, S in walk_prefixes(xs, start, advance).items()}
+def _corr_entry(q: int, r: int, X: int) -> int:
+    """S_q(X, r), unchecked: the walk to X >> 1, then row r of the last bit alone."""
+    steps = _corr_steps(q, q)
+    S = _corr_walk(steps, [1] * q + [0] * q, bin(X)[2:-1])
+    p, i, j = steps[X & 1][r]
+    v = S[i] + S[j] if p else S[i] - S[j]   # G_r(X)
+    return v - 1 if eps(r) > 0 else 1 - v
+
+
+def _dilation_entry(q: int, r: int, X: int) -> int:
+    """U_q(X, r), unchecked: entry r of the residue sums to qX + r, less n = 0."""
+    return residue_entry(q, q * X + r, r) - eps(r)
 
 
 def shift_vectors(q: int, xs, dilation: bool = False, size: int = 0) -> dict[int, list[int]]:
@@ -92,12 +99,13 @@ def shift_vectors(q: int, xs, dilation: bool = False, size: int = 0) -> dict[int
     U_q(X, r) = U_q(X, r - q) + eps(qX + r) - eps(r).
     """
     xs = list(xs)
-    _validate_batch(q, xs)
+    _validate(q, 0, min(xs, default=0))   # r = 0 is a shift of every odd q
     width = max(q, size)
     base = [eps(r) for r in range(width)]   # the n = 0 terms
-    if not dilation:
-        full = _corr_vectors(q, xs, size)   # S_q = eps(r) (G_r - 1)
-        return {X: [v - 1 if e > 0 else 1 - v for v, e in zip(full[X], base)] for X in full}
+    if not dilation:   # S_q = eps(r) (G_r - 1); zip reads G(X), the first width entries
+        step = partial(_corr_walk, _corr_steps(q, width))
+        walked = walk_prefixes(xs, [1] * width + [0] * width, step)
+        return {X: [v - 1 if e > 0 else 1 - v for v, e in zip(S, base)] for X, S in walked.items()}
     R = residue_sums(q, {q * X - 1 for X in xs})   # the terms n = 0..X-1
     out = {}
     for X in xs:
@@ -111,15 +119,13 @@ def shift_vectors(q: int, xs, dilation: bool = False, size: int = 0) -> dict[int
 def corr_fast(q: int, r: int, X: int) -> int:
     """S_q(X, r), identical to corr_naive, in O(q log X)."""
     _validate(q, r, X)
-    v = _corr_vectors(q, (X,))[X][r]
-    return v - 1 if eps(r) > 0 else 1 - v
+    return _corr_entry(q, r, X)
 
 
 def dilation_sum(q: int, r: int, X: int) -> int:
     """U_q(X, r) = sum_{n=1..X} eps(qn+r), identical to dilation_naive; O(q log qX)."""
     _validate(q, r, X)
-    Y = q * X - 1   # the N = qn + r, n = 0..X-1, are the N <= Y with N = r (mod q)
-    return residue_sums(q, (Y,))[Y][r] + eps(Y + 1 + r) - eps(r)
+    return _dilation_entry(q, r, X)
 
 
 def dilation_naive(q: int, r: int, X: int) -> int:

@@ -17,7 +17,7 @@ direct loop ``count_adjacent`` is its oracle.
 from collections import namedtuple
 
 from .digitseq import check_naive_limit, class_of, eps_partial_sum
-from .correlation import corr_fast, dilation_sum, shift_vectors
+from .correlation import _corr_entry, _dilation_entry, _validate, shift_vectors
 
 
 class CountTable(namedtuple("CountTable", "q r X cells")):
@@ -79,8 +79,9 @@ def _four_term_table(q: int, r: int, X: int, P: int, U: int, S: int) -> CountTab
 
 def count_classes_fast(q: int, r: int, X: int) -> CountTable:
     """Exact table via the four-term identity; O(q log X)."""
-    U = dilation_sum(q, r, X)   # validates (q, r, X) before any other work
-    return _four_term_table(q, r, X, eps_partial_sum(X), U, corr_fast(q, r, X))
+    _validate(q, r, X)   # corr_fast's and dilation_sum's checks and messages
+    return _four_term_table(q, r, X, eps_partial_sum(X), _dilation_entry(q, r, X),
+                            _corr_entry(q, r, X))
 
 
 def count_tables(q: int, xs, shifts=None) -> dict[int, dict[int, CountTable]]:

@@ -6,11 +6,13 @@ class 1 (odd digit sum).  Everything here is exact integer arithmetic.
 The fast paths run their steps on ``walk_prefixes``, which reads each bound
 from the top bit.  ``shift_rows`` is the one table of the halving recursion:
 with its sign at both columns it is the transfer matrix T_q, with the b
-column negated the step D_q of the residue walk ``residue_sums``.
+column negated the step D_q of the residue walk ``residue_sums``.  That walk
+starts at its top bits, the prefix h < m whose sums are eps(0..h), built in
+one piece; ``residue_entry`` computes one row of its last bit.
 """
 
 from bisect import bisect_left, bisect_right
-from functools import lru_cache
+from functools import lru_cache, partial
 
 # direct-loop guard: above this the O(X) paths refuse instead of hanging
 NAIVE_LIMIT = 10**7
@@ -107,6 +109,42 @@ def residue_rows(m: int) -> tuple[tuple[int, int], ...]:
     return tuple((a, b) if g > 0 else (b, a) for g, a, b in shift_rows(m))
 
 
+def _residue_state(m: int, state):
+    """(R, h mod m, eps(h)) of a residue-walk state.  An int state is the
+    prefix h itself, h < m: its sums are eps(0..h) at residues 0..h."""
+    if type(state) is not int:
+        return state
+    return ([1 - 2 * (n.bit_count() & 1) for n in range(state + 1)] + [0] * (m - 1 - state),
+            state, 1 - 2 * (state.bit_count() & 1))
+
+
+def _residue_walk(rows, state, bits):
+    """The residue walk's state after the '0'/'1' string ``bits``; m = len(rows).
+
+    While the prefix h is below m the state is h alone: the walk takes at once
+    the k = bitlen(m) - bitlen(h) bits (one fewer if that reaches m) that keep
+    it there, and builds the vector where the next bit passes m.
+    """
+    m = len(rows)
+    if type(state) is int:
+        k = min(len(bits), m.bit_length() - state.bit_length())
+        h = state << k | int(bits[:k] or "0", 2)
+        if h >= m:
+            h, k = h >> 1, k - 1
+        if k == len(bits):
+            return h
+        state, bits = _residue_state(m, h), bits[k:]
+    R, h, e = state
+    for c in bits:
+        R = [R[a] - R[b] for a, b in rows]
+        if c == "1":
+            h, e = (2 * h + 1) % m, -e
+        else:
+            R[(2 * h + 1) % m] += e
+            h = 2 * h % m
+    return R, h, e
+
+
 def residue_sums(m: int, ys) -> dict[int, list[int]]:
     """Y -> [sum of eps(N) over 0 <= N <= Y, N = l (mod m), for l in 0..m-1]
     for every Y >= -1 in ys; m odd.
@@ -120,22 +158,17 @@ def residue_sums(m: int, ys) -> dict[int, list[int]]:
     ys = list(ys)
     if min(ys, default=-1) < -1:
         raise ValueError("Y must be >= -1")
+    walked = walk_prefixes((Y for Y in ys if Y >= 0), 0, partial(_residue_walk, residue_rows(m)))
+    return {Y: _residue_state(m, walked[Y])[0] if Y >= 0 else [0] * m for Y in ys}
+
+
+def residue_entry(m: int, Y: int, l: int) -> int:
+    """Entry l of ``residue_sums(m, (Y,))[Y]``, unchecked (odd m, Y >= -1,
+    0 <= l < m): the walk to h = Y >> 1, then row l of the last bit alone."""
     rows = residue_rows(m)
-
-    def advance(state, bits):
-        R, h, e = state
-        for c in bits:
-            R = [R[a] - R[b] for a, b in rows]
-            if c == "1":
-                h, e = (2 * h + 1) % m, -e
-            else:
-                R[(2 * h + 1) % m] += e
-                h = 2 * h % m
-        return R, h, e
-
-    start = ([1] + [0] * (m - 1), 0, 1)   # Y = 0: the single term N = 0
-    walked = walk_prefixes((Y for Y in ys if Y >= 0), start, advance)
-    return {Y: walked[Y][0] if Y >= 0 else [0] * m for Y in ys}
+    R, h, e = _residue_state(m, _residue_walk(rows, 0, bin(Y)[2:-1]) if Y >= 0 else -1)
+    a, b = rows[l]
+    return R[a] - R[b] + (e if not Y & 1 and (2 * h + 1) % m == l else 0)
 
 
 def gelfond_count(X: int, l: int, m: int, j: int) -> int:
@@ -144,7 +177,7 @@ def gelfond_count(X: int, l: int, m: int, j: int) -> int:
     With m = 2^a m' (m' odd), b = l mod 2^a and c = l >> a (l reduced mod
     m), the n counted are 2^a k + b, k = c (mod m'), k <= K = (X - b) >> a.
     Their low a bits are b, so eps(n) = eps(b) eps(k), and the signed sum is
-    eps(b) times entry c of ``residue_sums(m', K)``: O(m' log X) steps.
+    eps(b) times ``residue_entry(m', K, c)``: O(m' log X) steps.
     """
     if m < 1:
         raise ValueError("modulus m must be >= 1")
@@ -158,7 +191,7 @@ def gelfond_count(X: int, l: int, m: int, j: int) -> int:
     K = (X - b) >> a
     if K < c:   # no n qualifies
         return 0
-    N, E = (K - c) // odd + 1, eps(b) * residue_sums(odd, (K,))[K][c]
+    N, E = (K - c) // odd + 1, eps(b) * residue_entry(odd, K, c)
     if l == 0:   # drop the n = 0 term
         N, E = N - 1, E - 1
     return (N + E) // 2 if j == 0 else (N - E) // 2

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from tmcorr import (NAIVE_LIMIT, build_transfer, char_poly, corr_fast, corr_naive,
-                    count_classes_fast, count_classes_naive, dilation_naive, dilation_sum,
-                    eps, shift_vectors)
+                    count_classes_fast, count_classes_naive, count_tables, dilation_naive,
+                    dilation_sum, eps, shift_vectors)
 from tmcorr.correlation import _corr_steps, shift_rows
 from tmcorr.digitseq import TABLE_CACHE, residue_rows
 
@@ -36,6 +36,37 @@ def test_validation():
             fn(3, -1, 10)
         with pytest.raises(ValueError):
             fn(3, 0, -1)
+
+
+@pytest.mark.parametrize("fn", [corr_fast, dilation_sum, count_classes_fast])
+@pytest.mark.parametrize("args, message", [
+    ((4, 0, 10), "multiplier must be odd"),
+    ((-3, 0, 10), "multiplier must be odd"),
+    ((3, 0, -1), "X must be nonnegative"),
+    ((3, 3, 10), "shift must satisfy 0 <= r < q, got r=3 q=3"),
+    ((3, -1, 10), "shift must satisfy 0 <= r < q, got r=-1 q=3"),
+    # several bad arguments: the multiplier first, then X, then the shift
+    ((4, 5, -1), "multiplier must be odd"),
+    ((3, 5, -1), "X must be nonnegative"),
+])
+def test_validation_messages_in_order(fn, args, message):
+    with pytest.raises(ValueError) as err:
+        fn(*args)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("q", range(1, 64, 2))
+def test_single_entries_equal_batched_walks(q):
+    # the one-row last bit at every X <= 300, X = 0 and 1 included
+    xs = range(301)
+    shifts = range(q) if q < 16 else (0, 1, q // 2, q - 2, q - 1)
+    S, U = shift_vectors(q, xs), shift_vectors(q, xs, dilation=True)
+    tables = count_tables(q, xs, shifts)
+    for X in xs:
+        for r in shifts:
+            assert corr_fast(q, r, X) == S[X][r], (q, r, X)
+            assert dilation_sum(q, r, X) == U[X][r], (q, r, X)
+            assert count_classes_fast(q, r, X) == tables[X][r], (q, r, X)
 
 
 def test_naive_guard_rejects_huge_X():

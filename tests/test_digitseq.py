@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tmcorr import class_of, eps, eps_partial_sum, gelfond_count
-from tmcorr.digitseq import residue_sums, walk_prefixes
+from tmcorr.digitseq import residue_entry, residue_sums, walk_prefixes
 
 from conftest import eps_table
 
@@ -86,6 +86,19 @@ def test_gelfond_rejects_bad_input():
         gelfond_count(-1, 0, 3, 0)
 
 
+@pytest.mark.parametrize("args, message", [
+    ((10, 0, 0, 0), "modulus m must be >= 1"),
+    ((10, 0, 3, 2), "class index j must be 0 or 1"),
+    ((-1, 0, 3, 0), "X must be nonnegative"),
+    ((-1, 0, 0, 2), "modulus m must be >= 1"),   # several bad: m, then j, then X
+    ((-1, 0, 3, 2), "class index j must be 0 or 1"),
+])
+def test_gelfond_validation_messages_in_order(args, message):
+    with pytest.raises(ValueError) as err:
+        gelfond_count(*args)
+    assert str(err.value) == message
+
+
 def test_gelfond_reduces_residue_mod_m():
     assert gelfond_count(100, 7, 3, 0) == gelfond_count(100, 1, 3, 0)
     assert gelfond_count(100, 30, 3, 1) == gelfond_count(100, 0, 3, 1)
@@ -151,6 +164,37 @@ def test_residue_sums_equal_running_sums_by_residue():
         for Y in range(2001):
             running[Y % m] += eps(Y)
             assert got[Y] == running, (m, Y)
+
+
+def test_single_bound_walks_equal_running_sums():
+    # one bound alone: walk_prefixes' one-call path and residue_entry's
+    # one-row last bit, with the walk ending below m, at m, and past it
+    for m in range(1, 132, 2):
+        running = [0] * m
+        for Y in range(-1, 4 * m + 4):
+            if Y >= 0:
+                running[Y % m] += eps(Y)
+            assert residue_sums(m, (Y,))[Y] == running, (m, Y)
+            ls = range(m) if m < 32 else {0, Y % m, (Y + 1) % m, m // 2, m - 1}
+            assert all(residue_entry(m, Y, l) == running[l] for l in ls), (m, Y)
+
+
+def test_large_bounds_alone_equal_batched_walks():
+    # Y // 3 shares only its top bits (if any) with Y, so the batch cuts the
+    # walk at a prefix that is often still below m.  Each m takes two of
+    # the twenty bounds in turn: all forty per m would take about 20 s.
+    rng = random.Random(600)
+    ys = [rng.getrandbits(599) | 1 << 599 for _ in range(20)]
+    for m in range(1, 132, 2):
+        for Y in (ys[m % 20], ys[(m + 9) % 20]):
+            batch = residue_sums(m, (Y, Y + 1, Y // 3))
+            alone = residue_sums(m, (Y,))[Y]
+            assert batch[Y] == alone, (m, Y)
+            l = rng.randrange(m)
+            assert residue_entry(m, Y, l) == alone[l], (m, Y, l)
+            alone[(Y + 1) % m] += eps(Y + 1)
+            assert batch[Y + 1] == alone, (m, Y)
+            assert batch[Y // 3] == residue_sums(m, (Y // 3,))[Y // 3], (m, Y)
 
 
 def test_residue_sums_read_an_iterator_once():
