@@ -8,13 +8,16 @@ random 180-bit X, at a fixed 1000-bit X and over a 1000-point grid, `eps`,
 `eigen` spectra up to q = 63 (including the rounding noise in `re` of its
 roots +-i), `adjacent` tables with and without a deviation fit and up to
 2^64, and `fit` over the committed `corr`/`count` CSVs, so any change to the
-engines or the serializer behind the CLI must keep every byte.
+engines or the serializer behind the CLI must keep every byte.  The table
+``tests/golden/eigen_sha256.txt`` pins `eigen` for every odd q in 3..63 at
+the default seed and at `--seed 648966` by the sha256 of its stdout.
 
 After an intended output change, rewrite the files with
 
     PYTHONPATH=src python tests/test_golden_cli.py
 """
 
+import hashlib
 import io
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -75,6 +78,10 @@ CASES = {
     "fit_count_json": ["fit", str(GOLDEN_DIR / "count_all_csv.txt")],
 }
 
+EIGEN_TABLE = GOLDEN_DIR / "eigen_sha256.txt"
+EIGEN_CASES = [["eigen", str(q)] + seed for seed in ([], ["--seed", "648966"])
+               for q in range(3, 64, 2)]
+
 
 def _stdout(argv: list[str]) -> str:
     buf = io.StringIO()
@@ -90,7 +97,20 @@ def test_cli_stdout_matches_golden(name):
     assert _stdout(CASES[name]).encode("utf-8") == expected
 
 
+def _eigen_digest(argv: list[str]) -> str:
+    return hashlib.sha256(_stdout(argv).encode("utf-8")).hexdigest()
+
+
+def test_eigen_stdout_matches_the_sha256_table():
+    table = dict(line.rsplit("\t", 1) for line in EIGEN_TABLE.read_text().splitlines())
+    assert sorted(table) == sorted(" ".join(argv) for argv in EIGEN_CASES)
+    for argv in EIGEN_CASES:
+        assert _eigen_digest(argv) == table[" ".join(argv)], argv
+
+
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
     for case, args in CASES.items():
         (GOLDEN_DIR / f"{case}.txt").write_bytes(_stdout(args).encode("utf-8"))
+    EIGEN_TABLE.write_text("".join(f"{' '.join(argv)}\t{_eigen_digest(argv)}\n"
+                                   for argv in EIGEN_CASES))
