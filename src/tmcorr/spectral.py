@@ -1,27 +1,28 @@
 """Exact characteristic polynomials and complex spectra of integer matrices.
 
 Matrices are plain sequences of equal-length integer rows.  The
-characteristic polynomial is computed exactly by the Faddeev-LeVerrier
-trace recursion over Python integers; each step combines the rows named by
-the nonzero entries of each row only, so a transfer matrix (two +-1 entries
-per row) costs n^2 additions per step, not n^3.  The polynomial is split
-exactly into square-free factors (Yun's algorithm, with integer gcds and
-exact division), so root multiplicities are exact.  The simple roots of each
-factor are found by Aberth-Ehrlich iteration (Bini 1996) on float copies of
-its coefficients, started on their Newton-polygon circles (restarts use
-Fujiwara-bound circles), and accepted on a backward-error bound.  The spectral
-radius of a correlation transfer matrix predicts the growth exponent
-log2(radius) of the correlation sums; spectral_report takes that matrix and
-finds the radius on the two half-size mirror blocks of the centrosymmetric
-matrix.
+characteristic polynomial comes exactly from the traces of the powers M^k
+by Newton's identities.  Each row of M^k is one Python integer, entry j in
+lane j of a proved width (Kronecker substitution), so a step to M^(k+1) of a
+transfer matrix (two +-1 entries per row) costs one addition per row.  The
+polynomial is split exactly into square-free factors (Yun's algorithm, with
+integer gcds and exact division), so root multiplicities are exact.  The
+simple roots of each factor are found by Aberth-Ehrlich iteration (Bini 1996)
+on float copies of its coefficients, started on their Newton-polygon circles
+(restarts use Fujiwara-bound circles), and accepted on a backward-error
+bound.  The spectral radius of a correlation transfer matrix predicts the
+growth exponent log2(radius) of the correlation sums; spectral_report takes
+that matrix and finds the radius on the two half-size mirror blocks of the
+centrosymmetric matrix.
 """
 
 import cmath
 import math
 import random
 from collections import namedtuple
-from itertools import zip_longest
-from operator import add, neg, sub
+from functools import partial
+from itertools import compress, count, islice, repeat, zip_longest
+from operator import add, itemgetter, lshift, mul, sub
 
 MAX_DIM = 64
 DEFAULT_SEED = 12345
@@ -57,29 +58,12 @@ def _as_matrix(M) -> IntMatrix:
     return rows
 
 
-def _nonzero_rows(A: IntMatrix) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Per row, the (column, value) pairs of its nonzero entries."""
-    return tuple([tuple([(t, v) for t, v in enumerate(row) if v]) for row in A])
+def _dot(weights: tuple[int, ...], counts: tuple[int, ...], *rows: int) -> int:
+    """sum(v * (sum of the next k rows)) over the weights v and counts k."""
+    return sum(map(mul, weights, map(sum, map(islice, repeat(iter(rows)), counts))))
 
 
-def _row_combination(nonzero: tuple[tuple[int, int], ...], B) -> list[int]:
-    """sum(v * B[t]) over the nonzero (t, v) of one row: a row of A @ B, in one
-    pass; one-entry and +-1 two-entry rows (all transfer-block rows) use map."""
-    if len(nonzero) == 1:
-        (t, v), = nonzero
-        return list(map(v.__mul__, B[t]))
-    if len(nonzero) == 2:
-        (t, v), (u, w) = nonzero
-        if v == w == 1:
-            return list(map(add, B[t], B[u]))
-        if v == w == -1:
-            return list(map(neg, map(add, B[t], B[u])))
-        if v == -w == 1:
-            return list(map(sub, B[t], B[u]))
-        if w == -v == 1:
-            return list(map(sub, B[u], B[t]))
-        return [v * x + w * y for x, y in zip(B[t], B[u])]
-    return [sum(v * B[t][j] for t, v in nonzero) for j in range(len(B))]
+_PAIR_OPS = {(1, 1): add, (1, -1): sub, (-1, -1): lambda x, y: -x - y}
 
 
 class MonicIntPolynomial(namedtuple("MonicIntPolynomial", "coeffs")):
@@ -109,29 +93,45 @@ class MonicIntPolynomial(namedtuple("MonicIntPolynomial", "coeffs")):
 
 
 def char_poly(M) -> MonicIntPolynomial:
-    """Exact characteristic polynomial det(xI - M), Faddeev-LeVerrier.
+    """Exact characteristic polynomial det(xI - M) from traces of powers.
 
-    Every trace division in the recursion is exact for integer input;
-    the terminal identity M_n + c_n I = 0 is asserted as a self-check.
+    P[i] = sum_j M^k[i][j] 2^(jW) packs row i of M^k, and a row of M @ P is
+    one call f(*get(P)): v times the slice P[t:t+1] for one entry v; add, sub
+    or -x - y for a +-1 pair, as in most transfer-block rows; else _dot.  The
+    trace p_k is lane n - 1 of sum_i P[i] 2^((n-1-i)W), read by centred
+    rounding: its at most n entries of size <= a^(n+1), a the largest row
+    abs-sum, sum to below 2^(W-2).  Newton's identities give the c_k, each
+    division by k asserted exact; the one at k = n + 1 is a self-check.
     """
+    if len(M) > MAX_DIM:                      # before any entry is read
+        raise ValueError(f"dimension {len(M)} exceeds limit {MAX_DIM}")
     A = _as_matrix(M)
-    n = len(A)
-    if n > MAX_DIM:
-        raise ValueError(f"dimension {n} exceeds limit {MAX_DIM}")
-    nonzero = _nonzero_rows(A)
-    coeffs_desc = [1]
-    Mk = [list(row) for row in A]
-    for k in range(1, n + 1):
-        c, rem = divmod(-sum(Mk[i][i] for i in range(n)), k)
-        assert rem == 0, "Faddeev-LeVerrier trace must divide exactly"
-        coeffs_desc.append(c)
-        for i in range(n):
-            Mk[i][i] += c                      # Mk + c I, in place
-        if k < n:
-            Mk = [_row_combination(row, Mk) for row in nonzero]
-    assert all(v == 0 for row in Mk for v in row), \
-        "Faddeev-LeVerrier terminal identity violated"
-    return MonicIntPolynomial(coeffs=tuple(reversed(coeffs_desc)))
+    n, ops = len(A), []
+    for row in A:
+        cols, weights = list(compress(count(), row)), tuple(filter(None, row))
+        if weights == (-1, 1):
+            cols, weights = cols[::-1], (1, -1)
+        f = _PAIR_OPS.get(weights)
+        if len(cols) == 1:
+            f, cols = weights[0].__mul__, [slice(cols[0], cols[0] + 1)]
+        elif f is None:      # the columns of each weight in one run; P[0] twice if none
+            values = sorted(set(weights))
+            cols = [t for _, t in sorted(zip(weights, cols))] or [0, 0]
+            f = partial(_dot, tuple(values), tuple(map(weights.count, values)))
+        ops.append((f, itemgetter(*cols)))
+    W = (n * max([sum(map(abs, row)) for row in A]) ** (n + 1)).bit_length() + 2
+    base, half, shifts = (n - 1) * W, 1 << (W - 1), range((n - 1) * W, -1, -W)
+    offset, mask = (1 << base >> 1) + (half << base), (1 << W) - 1   # round, centre
+    P = [1 << s for s in reversed(shifts)]    # the rows of M^0 = I
+    p, c = [n], [1]                           # p[k] = tr(M^k); c descending
+    for k in range(1, n + 2):
+        P = [f(*get(P)) for f, get in ops]
+        p.append((sum(map(lshift, P, shifts)) + offset >> base & mask) - half)
+        ck, rem = divmod(-sum(map(mul, c, reversed(p))), k)
+        assert rem == 0, "Newton's identity must divide exactly"
+        c.append(ck)
+    assert c.pop() == 0, "Newton's identity at k = n + 1 violated"
+    return MonicIntPolynomial(coeffs=tuple(reversed(c)))
 
 
 def roots(p: MonicIntPolynomial, tol: float = ROOT_TOL, max_iterations: int = MAX_ITERATIONS,

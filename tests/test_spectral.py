@@ -194,8 +194,8 @@ def _two_entry_sign_matrix(rng, n):
 
 def test_char_poly_two_entry_rows_of_every_sign_match_bareiss_oracle():
     # the mirror block T+ has +1 +1 and -1 -1 rows, T- has +1 -1 and -1 +1
-    # rows (465 of the 1,023 block rows over odd q <= 63); other values
-    # take the row kernel's general two-entry branch
+    # rows (465 of the 1,023 block rows over odd q <= 63), each one add or
+    # subtract of two packed rows; 2 -3 rows take the general weighted sum
     rng = random.Random(1313)
     for n in range(1, 13):
         for _ in range(4):
@@ -249,6 +249,52 @@ def test_char_poly_validation():
     big = tuple(tuple(int(i == j) for j in range(65)) for i in range(65))
     with pytest.raises(ValueError):
         char_poly(big)                             # beyond dimension cap
+
+
+def test_char_poly_refuses_the_order_before_reading_an_entry():
+    class Unread:
+        def __iter__(self):
+            raise AssertionError("an entry was read")
+
+    with pytest.raises(ValueError, match="dimension 3000 exceeds limit 64"):
+        char_poly([Unread()] * 3000)
+
+
+# --- char_poly at MAX_DIM: closed forms that fill the packed lanes -----------
+# The lane width W = bitlen(n a^(n+1)) + 2 (a the largest row abs-sum) is
+# tight for the cycle, whose trace of C^n is n = n a^n, and for a diagonal of
+# equal entries, whose trace of D^(n+1) is n a^(n+1).
+
+N = tmcorr.spectral.MAX_DIM
+
+
+def test_char_poly_of_the_max_dim_cycle_permutation():
+    C = [[int(j == (i + 1) % N) for j in range(N)] for i in range(N)]
+    assert char_poly(C).coeffs == (-1,) + (0,) * (N - 1) + (1,)        # x^N - 1
+
+
+@pytest.mark.parametrize("c", [1, -1, -3, 2**40])
+def test_char_poly_of_a_max_dim_constant_matrix(c):
+    want = (0,) * (N - 1) + (-N * c, 1)                                 # x^(N-1) (x - Nc)
+    assert char_poly([[c] * N for _ in range(N)]).coeffs == want
+
+
+def test_char_poly_of_a_max_dim_diagonal_of_huge_entries():
+    rng = random.Random(64)
+    for signs in ([1] * N, [rng.choice((-1, 1)) for _ in range(N)]):
+        d = [s * 2**200 for s in signs]
+        want = [1]
+        for di in d:
+            want = _poly_mul(want, [-di, 1])
+        M = [[d[i] if i == j else 0 for j in range(N)] for i in range(N)]
+        assert char_poly(M).coeffs == tuple(want), signs
+
+
+def test_char_poly_of_a_max_dim_companion_matrix():
+    rng = random.Random(65)
+    a = tuple(rng.choice((-1, 1)) * 2**100 for _ in range(N))   # x^N + sum a[k] x^k
+    C = [[int(j == i - 1) for j in range(N - 1)] + [-a[i]] for i in range(N)]
+    assert char_poly(C).coeffs == a + (1,)
 
 
 def test_monic_polynomial_validation():
@@ -907,21 +953,30 @@ def test_eigenvalue_one_of_q5_lies_in_one_block():
 
 
 def test_char_poly_work_on_the_mirror_blocks(monkeypatch):
-    # the full q x q Faddeev-LeVerrier builds q^2 (q - 1) row elements;
-    # the two half-size blocks about a quarter of that
-    built = []
-    true_rows = tmcorr.spectral._row_combination
+    # spectral_report hands char_poly the two mirror blocks, of orders
+    # q//2 + 1 and q//2, never T_q: n^2 (n - 1) summed over the orders it
+    # gets is about a quarter of sum q^2 (q - 1)
+    true_char_poly = tmcorr.spectral.char_poly
+    seen = []
 
-    def counted(nonzero, B):
-        row = true_rows(nonzero, B)
-        built.append(len(row))
-        return row
+    def recorded(M):
+        seen.append(tuple(map(tuple, M)))
+        return true_char_poly(M)
 
-    monkeypatch.setattr(tmcorr.spectral, "_row_combination", counted)
+    monkeypatch.setattr(tmcorr.spectral, "char_poly", recorded)
+    work = 0
     for q in range(3, 64, 2):
-        spectral_report(build_transfer(q))
+        T, h = build_transfer(q), q // 2
+        plus = tuple(tuple([row[k] + row[q - 1 - k] for k in range(h)] + [row[h]])
+                     for row in T[:h + 1])
+        minus = tuple(tuple(row[k] - row[q - 1 - k] for k in range(h)) for row in T[:h])
+        seen.clear()
+        spectral_report(T)
+        assert seen == [plus, minus], q
+        assert [len(M) for M in seen] == [h + 1, h], q
+        work += sum(n * n * (n - 1) for n in map(len, seen))
     full = sum(q * q * (q - 1) for q in range(3, 64, 2))
-    assert sum(built) <= 0.3 * full, (sum(built), full)
+    assert work <= 0.3 * full, (work, full)
 
 
 # --- power growth: the engine walks the powers of T_q ------------------------
