@@ -175,6 +175,12 @@ def test_char_poly_transfer_matches_bareiss_oracle():
         assert char_poly(M).coeffs == char_poly_bareiss_oracle(M), q
 
 
+def test_char_poly_mirror_blocks_match_bareiss_oracle():
+    for q in range(3, 64, 2):
+        for block in tmcorr.spectral._mirror_blocks(build_transfer(q)):
+            assert char_poly(block).coeffs == char_poly_bareiss_oracle(block), q
+
+
 def _two_entry_sign_matrix(rng, n):
     """Rows with exactly two nonzeros, +1 +1, -1 -1, +1 -1 or 2 -3 in
     either column order, and now and then a zero or a dense row."""
