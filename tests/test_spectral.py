@@ -267,9 +267,9 @@ def test_char_poly_refuses_the_order_before_reading_an_entry():
 
 
 # --- char_poly at MAX_DIM: closed forms that fill the packed lanes -----------
-# The lane width W = bitlen(n a^(n+1)) + 2 (a the largest row abs-sum) is
-# tight for the cycle, whose trace of C^n is n = n a^n, and for a diagonal of
-# equal entries, whose trace of D^(n+1) is n a^(n+1).
+# With the lane width W = bitlen(n a^(n+1)) + 2 (a the largest row abs-sum)
+# two bits fewer misread the cycle's tr(C^n) = n = n a^n, and a diagonal's
+# tr(D^(n+1)) = n a^(n+1) when its entries are equal.
 
 N = tmcorr.spectral.MAX_DIM
 
