@@ -18,11 +18,11 @@ shared bit prefix once), equal to the direct loops for any X:
   entry, in one pass of a table built once per q and width: O(q log X).
 - dilation: the qn + r, n <= X, are the N = r (mod q) up to qX + r, so U_q
   is one entry of the residue walk ``digitseq.residue_sums`` less the term
-  n = 0: O(q log qX).  Its step is D_q, the same rows with the (q+s)//2
-  term negated.
+  n = 0.  Its step is D_q, the same rows with the (q+s)//2 term negated, on
+  one packed integer: a few passes over q lanes of O(log qX) bits per bit.
 
-One (q, r, X) walks to X >> 1 (to (qX + r) >> 1 for U) and then computes
-only row r of the last bit's table; a batch keeps every row.
+One (q, r, X) walks S to X >> 1 and computes only row r of the last bit's
+table, and reads one lane of U; a batch keeps every row and lane.
 """
 
 from functools import lru_cache, partial

@@ -7,8 +7,8 @@ The fast paths run their steps on ``walk_prefixes``, which reads each bound
 from the top bit.  ``shift_rows`` is the one table of the halving recursion:
 with its sign at both columns it is the transfer matrix T_q, with the b
 column negated the step D_q of the residue walk ``residue_sums``.  That walk
-starts at its top bits, the prefix h < m whose sums are eps(0..h), built in
-one piece; ``residue_entry`` computes one row of its last bit.
+keeps every residue class in one integer, a lane each in the order of the
+doubling map's orbits, so a bit is one rotation and one subtraction.
 """
 
 from bisect import bisect_left, bisect_right
@@ -109,40 +109,49 @@ def residue_rows(m: int) -> tuple[tuple[int, int], ...]:
     return tuple((a, b) if g > 0 else (b, a) for g, a, b in shift_rows(m))
 
 
-def _residue_state(m: int, state):
-    """(R, h mod m, eps(h)) of a residue-walk state.  An int state is the
-    prefix h itself, h < m: its sums are eps(0..h) at residues 0..h."""
-    if type(state) is not int:
-        return state
-    return ([1 - 2 * (n.bit_count() & 1) for n in range(state + 1)] + [0] * (m - 1 - state),
-            state, 1 - 2 * (state.bit_count() & 1))
+def _residue_lanes(m: int, top: int) -> tuple[int, int, int, int, int]:
+    """(m, W, M, OFF, 1/2 mod m) of a residue walk to bounds <= top; 1/2 is
+    minus row 0's -1 column of ``residue_rows(m)``."""
+    W = (top // m + 2).bit_length() + 2
+    M = (1 << m * W) - 1
+    return m, W, M, M // ((1 << W) - 1) << W - 1, -residue_rows(m)[0][1] % m
 
 
-def _residue_walk(rows, state, bits):
-    """The residue walk's state after the '0'/'1' string ``bits``; m = len(rows).
+def _residue_walk(lanes, state, bits):
+    """The state (P, g, e, f) after the '0'/'1' string ``bits``, from ``state``.
 
-    While the prefix h is below m the state is h alone: the walk takes at once
-    the k = bitlen(m) - bitlen(h) bits (one fewer if that reaches m) that keep
-    it there, and builds the vector where the next bit passes m.
+    After k bits, at prefix h, P holds class l in lane l f (mod m), f = 2^-k,
+    at 2^(W l f).  Row l of D_m (+1 at l/2, -1 at (l-1)/2) is then V - x^t V
+    in Z[x]/(x^m - 1), t = f/2, and x -> 2^W maps that into Z/M, M = 2^(mW) - 1:
+    one exact rotation and subtraction, P kept in 0..M.  g = h f is the lane
+    of h and e = eps(h); a 0 bit drops N = 2h+1, of sign -e, from lane g + t.
     """
-    m = len(rows)
-    if type(state) is int:
-        k = min(len(bits), m.bit_length() - state.bit_length())
-        h = state << k | int(bits[:k] or "0", 2)
-        if h >= m:
-            h, k = h >> 1, k - 1
-        if k == len(bits):
-            return h
-        state, bits = _residue_state(m, h), bits[k:]
-    R, h, e = state
+    m, W, M, _, half = lanes
+    mW = m * W
+    P, g, e, f = state
     for c in bits:
-        R = [R[a] - R[b] for a, b in rows]
+        f = f * half % m
+        r = P << f * W
+        P -= (r & M) + (r >> mW)
+        if P < 0:
+            P += M
         if c == "1":
-            h, e = (2 * h + 1) % m, -e
+            g, e = (g + f) % m, -e
         else:
-            R[(2 * h + 1) % m] += e
-            h = 2 * h % m
-    return R, h, e
+            P += e << (g + f) % m * W
+            if not 0 <= P <= M:
+                P -= e * M
+    return P, g, e, f
+
+
+def _residue_read(lanes, state, ls) -> list[int]:
+    """Entries ls of a walk state's sums.  A class sums at most Y//m + 1 signs,
+    so each W-bit lane of P + OFF (2^(W-1) in each lane) holds one centred."""
+    m, W, M, OFF, _ = lanes
+    x, mask, mid = state[0] + OFF, (1 << W) - 1, 1 << W - 1
+    if x >= M:
+        x -= M
+    return [(x >> l * state[3] % m * W & mask) - mid for l in ls]
 
 
 def residue_sums(m: int, ys) -> dict[int, list[int]]:
@@ -151,24 +160,26 @@ def residue_sums(m: int, ys) -> dict[int, list[int]]:
 
     The N <= 2h+1 are 2k and 2k+1, k <= h, and eps(2k+1) = -eps(k), so
     ``residue_rows`` give the vector at 2h+1 from that at h; the one at 2h
-    drops N = 2h+1, of sign -eps(h): the state carries h mod m and eps(h).
+    drops N = 2h+1, of sign -eps(h).  Along Y = 2^k - 1 that is Gelfond's
+    product prod_{j<k} (1 - x^(2^j)) mod x^m - 1.  One lane width serves all Y.
     """
     if m < 1 or m % 2 == 0:
         raise ValueError(f"modulus must be odd and positive, got m={m}")
     ys = list(ys)
     if min(ys, default=-1) < -1:
         raise ValueError("Y must be >= -1")
-    walked = walk_prefixes((Y for Y in ys if Y >= 0), 0, partial(_residue_walk, residue_rows(m)))
-    return {Y: _residue_state(m, walked[Y])[0] if Y >= 0 else [0] * m for Y in ys}
+    lanes = _residue_lanes(m, max(ys, default=0))
+    walked = walk_prefixes((Y for Y in ys if Y >= 0), (1, 0, 1, 1), partial(_residue_walk, lanes))
+    return {Y: _residue_read(lanes, walked[Y], range(m)) if Y >= 0 else [0] * m for Y in ys}
 
 
 def residue_entry(m: int, Y: int, l: int) -> int:
     """Entry l of ``residue_sums(m, (Y,))[Y]``, unchecked (odd m, Y >= -1,
-    0 <= l < m): the walk to h = Y >> 1, then row l of the last bit alone."""
-    rows = residue_rows(m)
-    R, h, e = _residue_state(m, _residue_walk(rows, 0, bin(Y)[2:-1]) if Y >= 0 else -1)
-    a, b = rows[l]
-    return R[a] - R[b] + (e if not Y & 1 and (2 * h + 1) % m == l else 0)
+    0 <= l < m): the walk over every bit of Y, then lane l alone."""
+    if Y < 0:
+        return 0
+    lanes = _residue_lanes(m, Y)
+    return _residue_read(lanes, _residue_walk(lanes, (1, 0, 1, 1), bin(Y)[2:]), (l,))[0]
 
 
 def gelfond_count(X: int, l: int, m: int, j: int) -> int:

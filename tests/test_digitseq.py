@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from tmcorr import class_of, eps, eps_partial_sum, gelfond_count
-from tmcorr.digitseq import residue_entry, residue_sums, walk_prefixes
+from tmcorr.digitseq import (_residue_lanes, _residue_read, _residue_walk, residue_entry,
+                             residue_rows, residue_sums, walk_prefixes)
 
 from conftest import eps_table
 
@@ -195,6 +196,62 @@ def test_large_bounds_alone_equal_batched_walks():
             alone[(Y + 1) % m] += eps(Y + 1)
             assert batch[Y + 1] == alone, (m, Y)
             assert batch[Y // 3] == residue_sums(m, (Y // 3,))[Y // 3], (m, Y)
+
+
+def test_all_ones_bounds_give_gelfonds_product():
+    # Y = 2^k - 1: the sums by class are the coefficients of
+    # prod_{j<k} (1 - x^(2^j)) mod x^m - 1, multiplied out here on plain lists
+    for m in range(1, 64, 2):
+        poly = [1] + [0] * (m - 1)
+        for k in range(41):
+            assert residue_sums(m, [2**k - 1])[2**k - 1] == poly, (m, k)
+            s = pow(2, k, m)
+            poly = [poly[l] - poly[(l - s) % m] for l in range(m)]
+
+
+def _packed(lanes, R, f):
+    """P holding class l of R in lane l f (mod m), as an element of Z/M."""
+    m, W, M = lanes[:3]
+    return sum(v << (l * f % m) * W for l, v in enumerate(R)) % M
+
+
+def test_one_packed_step_is_one_residue_rows_step():
+    # the packed bit and the list step of D_m (plus the 0-bit correction)
+    # agree from any state whose sums fit the walk's bound |R_l| <= Y//m + 1
+    rng = random.Random(131)
+    for m in range(1, 132, 2):
+        rows = residue_rows(m)
+        for c in "01" * 3:
+            top = rng.getrandbits(rng.randrange(1, 300))
+            lanes = _residue_lanes(m, top)
+            W, M = lanes[1:3]
+            B = top // m + 1
+            R = [rng.randint(-B, B) for _ in range(m)]
+            k, h, e = rng.randrange(100), rng.randrange(m), rng.choice((1, -1))
+            f = pow(2, -k, m)
+            P, g, e2, f2 = _residue_walk(lanes, (_packed(lanes, R, f), h * f % m, e, f), c)
+            want = [R[a] - R[b] for a, b in rows]
+            if c == "0":
+                want[(2 * h + 1) % m] += e
+            assert _residue_read(lanes, (P, g, e2, f2), range(m)) == want, (m, c)
+            assert 0 <= P <= M and f2 == pow(2, -k - 1, m), (m, c)
+            assert (g, e2) == ((2 * h + int(c)) * f2 % m, -e if c == "1" else e), (m, c)
+            edge = (1 << W - 1) - 2
+            R = [rng.choice((edge, -edge)) for _ in range(m)]
+            assert _residue_read(lanes, (_packed(lanes, R, f), 0, 1, f), range(m)) == R, m
+        assert _residue_read(lanes, (M, 0, 1, 1), range(m)) == [0] * m   # M is 0 in Z/M
+
+
+def test_mixed_width_batch_equals_each_bound_alone():
+    # one lane width, from 2^600, serves bounds hundreds of bits shorter
+    rng = random.Random(64)
+    for m in (1, 3, 63, 101, 129):
+        ys = [-1, 0, 1, m, 2**64 + 3, 2**600 + 1, 2**600]
+        batch = residue_sums(m, ys)
+        for Y in ys:
+            assert batch[Y] == residue_sums(m, [Y])[Y], (m, Y)
+            l = rng.randrange(m)
+            assert residue_entry(m, Y, l) == batch[Y][l], (m, Y, l)
 
 
 def test_residue_sums_read_an_iterator_once():
