@@ -16,7 +16,7 @@ from .digitseq import eps, class_of
 from .correlation import corr_naive, build_transfer, shift_vectors
 from .spectral import DEFAULT_SEED, MAX_DIM, RootFindingError, spectral_report
 from .expsum import RationalPhase, scan_alpha
-from .counting import count_tables, count_adjacent_fast
+from .counting import _adjacent_tables, count_tables
 from .report import SumLadder, emit, fit_exponent, fit_record, round12
 
 NAIVE_CHECK_LIMIT = 10**5
@@ -158,8 +158,7 @@ def cmd_count(args) -> str:
 def cmd_adjacent(args) -> str:
     ladder = parse_ladder(args.ladder)
     rows = []
-    for X in ladder:
-        F = count_adjacent_fast(X)
+    for X, F in _adjacent_tables(ladder).items():
         for i in (0, 1):
             for k in (0, 1):
                 # exact deviation in sixths/thirds; F - X/d in floats

@@ -10,8 +10,8 @@ with P the plain sign partial sum, U the dilation sum, and S the
 correlation sum, so fast-vs-naive equality is an exact integer test.
 ``count_tables`` builds the tables of the asked shifts over a set of X from
 one walk of the correlation module per sum.
-``count_adjacent_fast`` gives the n - m = 1 table in O(log X) steps; the
-direct loop ``count_adjacent`` is its oracle.
+``count_adjacent_fast`` reads the n - m = 1 table from ``count_tables`` at
+q = r = 1; the direct loop ``count_adjacent`` is its oracle.
 """
 
 from collections import namedtuple
@@ -126,22 +126,17 @@ def count_adjacent(X: int) -> tuple[tuple[int, int], tuple[int, int]]:
     return tuple(tuple(row) for row in F)
 
 
-def count_adjacent_fast(X: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """count_adjacent(X) in O(log X) integer steps, for any X >= 0.
-
-    An m with t trailing ones is h * 2^(t+1) + 2^t - 1, so class(m) =
-    class(h) + t and class(m+1) = class(h) + 1 (mod 2).  For each t the h
-    run over 0..(X - 2^t) >> (t+1), and their class counts follow from the
-    sign sum eps_partial_sum; h = 0 at t = 0 is m = 0 and is dropped.
-    """
-    if X < 0:
+def _adjacent_tables(xs) -> dict[int, tuple[tuple[int, int], tuple[int, int]]]:
+    """X -> count_adjacent(X) for every X in xs, in their order: the pairs
+    (m, m+1) with m+1 <= X are the q = r = 1 cells of one count_tables call
+    over m = 1..max(X - 1, 0), and F[i][k] = cells[k][i]."""
+    ys = {X: max(X - 1, 0) for X in xs}
+    if min(ys, default=0) < 0:
         raise ValueError("X must be nonnegative")
-    F = [[0, 0], [0, 0]]
-    t = 0
-    while 1 << t <= X:
-        H = (X - (1 << t)) >> (t + 1)
-        even = (H + 2 + eps_partial_sum(H)) // 2    # h in 0..H with class 0
-        F[1][t & 1] += even - (t == 0)
-        F[0][~t & 1] += H + 1 - even
-        t += 1
-    return tuple(tuple(row) for row in F)
+    tables = count_tables(1, set(ys.values()), [1])
+    return {X: tuple(zip(*tables[Y][1].cells)) for X, Y in ys.items()}
+
+
+def count_adjacent_fast(X: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """count_adjacent(X) in O(log X) integer steps, for any X >= 0."""
+    return _adjacent_tables((X,))[X]

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from tmcorr import count_adjacent
 from tmcorr.cli import EXTENSION_LIMIT, main, parse_ladder
 from tmcorr.expsum import MAX_GRID
 
@@ -154,6 +155,12 @@ def test_eigen_rejects_csv(capsys):
     assert code == 1 and "json" in err
 
 
+def test_count_rejects_even_multiplier(capsys):
+    code, out, err = run_cli(capsys, "count", "4", "0", "8..8")
+    assert code == 1 and out == ""
+    assert err == "error: multiplier must be odd\n"
+
+
 def test_count_single_point(capsys):
     code, out, _ = run_cli(capsys, "count", "3", "0", "8..8")
     assert code == 0
@@ -213,6 +220,15 @@ def test_adjacent_example(capsys):
     assert counts == [1, 2, 2, 2]
 
 
+def test_adjacent_ladder_rows_equal_the_direct_loop(capsys):
+    code, out, _ = run_cli(capsys, "adjacent", "2^0..2^12")
+    assert code == 0
+    rows = [[int(v) for v in line.split(",")[:4]] for line in out.strip().split("\n")[1:]]
+    assert len(rows) == 4 * 13
+    for X, i, k, count in rows:
+        assert count == count_adjacent(X)[i][k], (X, i, k)
+
+
 def test_adjacent_past_double_range_is_one_error_line(capsys):
     code, out, err = run_cli(capsys, "adjacent", "2^1100")
     assert code == 1 and out == ""
@@ -249,6 +265,19 @@ def test_fit_needs_three_samples(tmp_path, capsys):
     code, _, err = run_cli(capsys, "fit", str(empty))
     assert code == 1
     assert err.strip() == "error: need >= 3 samples"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "need >= 3 samples"),
+    ("X,slope\n4,1\n8,2\n16,3\n", "no value/deviation/count column to fit"),
+    ("n,value\n4,1\n8,2\n16,3\n", "no X column to fit against"),
+])
+def test_fit_refuses_a_file_without_its_columns(tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    code, out, err = run_cli(capsys, "fit", str(bad))
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_fit_missing_file(capsys):

@@ -6,6 +6,7 @@ import pytest
 from tmcorr import (NAIVE_LIMIT, CountTable, corr_fast, count_adjacent,
                     count_adjacent_fast, count_classes_fast, count_classes_naive,
                     count_tables, dilation_sum, eps_partial_sum)
+from tmcorr.counting import _adjacent_tables
 
 
 def test_naive_example():
@@ -219,6 +220,18 @@ def test_adjacent_fast_partition_and_domain():
         assert sum(map(sum, count_adjacent_fast(X))) == max(X - 1, 0)
     with pytest.raises(ValueError):
         count_adjacent_fast(-1)
+
+
+def test_adjacent_batch_equals_loop_and_single_calls():
+    # one count_tables call for the whole set; X = 0 and X = 1 both map to Y = 0
+    rng = random.Random(4096)
+    xs = [0, 1, 2, 3] + [rng.getrandbits(rng.randint(1, 4096)) for _ in range(50)]
+    batch = _adjacent_tables(xs)
+    assert list(batch) == xs
+    for X in xs:
+        assert batch[X] == (count_adjacent(X) if X <= 3000 else count_adjacent_fast(X)), X
+    with pytest.raises(ValueError, match="X must be nonnegative"):
+        _adjacent_tables([5, -1])
 
 
 @pytest.mark.parametrize("e, expected", [(20, ((-4, -1), (-1, 2))),

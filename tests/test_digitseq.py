@@ -168,8 +168,8 @@ def test_residue_sums_equal_running_sums_by_residue():
 
 
 def test_single_bound_walks_equal_running_sums():
-    # one bound alone: walk_prefixes' one-call path and residue_entry's
-    # one-row last bit, with the walk ending below m, at m, and past it
+    # one bound alone: walk_prefixes' one-call path, and residue_entry's
+    # walk over every bit of Y read at one lane; bounds below m, at m and past it
     for m in range(1, 132, 2):
         running = [0] * m
         for Y in range(-1, 4 * m + 4):
@@ -182,8 +182,9 @@ def test_single_bound_walks_equal_running_sums():
 
 def test_large_bounds_alone_equal_batched_walks():
     # Y // 3 shares only its top bits (if any) with Y, so the batch cuts the
-    # walk at a prefix that is often still below m.  Each m takes two of
-    # the twenty bounds in turn: all forty per m would take about 20 s.
+    # walk after a few bits and resumes both walks from that state; Y + 1
+    # branches off Y near the end.  Each m takes two of the twenty bounds
+    # in turn: all forty per m would take about 20 s.
     rng = random.Random(600)
     ys = [rng.getrandbits(599) | 1 << 599 for _ in range(20)]
     for m in range(1, 132, 2):

@@ -9,7 +9,7 @@ import pytest
 
 import tmcorr.spectral
 from tmcorr import (MonicIntPolynomial, RootFindingError, build_transfer,
-                    char_poly, cluster_roots, eps, int_poly_gcd,
+                    char_poly, cluster_roots, dilation_sum, eps, int_poly_gcd,
                     jordan_block_check, roots, shift_vectors, spectral_report,
                     square_free_factors)
 
@@ -803,6 +803,70 @@ def test_spectral_report_q5():
     double = [m for z, m in rep.roots if abs(z - 1) < 1e-6]
     assert double == [2]
     assert sum(m for _, m in rep.roots) == 5
+
+
+# --- the paper's two equations: exact spectra of q = 3 and q = 5 -------------
+
+def test_q3_characteristic_polynomial_is_x_minus_1_times_x2_minus_x_plus_2():
+    assert square_free_factors(char_poly(build_transfer(3)).coeffs) == [((-2, 3, -2, 1), 1)]
+    assert _poly_mul([-1, 1], [2, -1, 1]) == [-2, 3, -2, 1]
+    # x^2 - x + 2 has discriminant 1 - 8 < 0: no real root, and the conjugate
+    # pair has z zbar = 2 (Vieta), so lambda_S(3) = log2(sqrt 2) = 1/2 exactly
+    c, b, a = 2, -1, 1
+    assert b * b - 4 * a * c == -7
+    pair = [z for z, _ in spectral_report(build_transfer(3)).roots if z.imag]
+    assert len(pair) == 2 and all(abs(abs(z) ** 2 - c / a) < 1e-12 for z in pair)
+
+
+def test_q5_characteristic_polynomial_is_x_minus_1_squared_times_x3_minus_x_plus_2():
+    assert square_free_factors(char_poly(build_transfer(5)).coeffs) == \
+        [((2, -1, 0, 1), 1), ((-1, 1), 2)]
+
+
+def test_q5_radius_by_rational_bisection():
+    # the real root of f = x^3 - x + 2 lies in [-2, -1]; bisect on a/2^60
+    # with exact signs of 2^180 f(a / 2^60)
+    S = 60
+    f = lambda a: a ** 3 - a * 2 ** (2 * S) + 2 ** (3 * S + 1)
+    lo, hi = -2 << S, -1 << S
+    assert f(lo) < 0 < f(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if f(mid) < 0 else (lo, mid)
+    low, high = Fraction(-hi, 2 ** S), Fraction(-lo, 2 ** S)   # |rho_5| in [low, high]
+    # a double cannot sit inside a 2^-60 bracket at 1.52, so round it outward
+    # to doubles; likewise one ulp past math.log2 for the exponent
+    rep = spectral_report(build_transfer(5))
+    assert math.nextafter(float(low), 0) <= rep.radius <= math.nextafter(float(high), math.inf)
+    e_low = math.nextafter(math.log2(low), 0)
+    e_high = math.nextafter(math.log2(high), math.inf)
+    assert e_low <= rep.exponent <= e_high
+    assert round(e_low, 6) == round(e_high, 6) == 0.605380
+    # the other two roots have |z|^2 = 2 / |rho_5| < |rho_5|^2
+    assert 2 < low ** 3
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_gelfond_product_at_a_primitive_root_is_q(q):
+    # 2 is a primitive root mod 3 and mod 5: the doubling orbit of 1 has
+    # length q - 1, and prod_{a=1}^{q-1} (1 - zeta^a) = Phi_q(1) = q
+    orbit, a = [], 1
+    while a not in orbit:
+        orbit.append(a)
+        a = 2 * a % q
+    assert sorted(orbit) == list(range(1, q))
+    prod = [1] + [0] * (q - 1)            # in Z[x]/(x^q - 1), then mod Phi_q
+    for a in orbit:
+        prod = [prod[i] - prod[(i - a) % q] for i in range(q)]
+    top = prod[q - 1]                     # Phi_q = 1 + x + ... + x^(q-1)
+    assert [c - top for c in prod] == [q] + [0] * (q - 1)
+
+
+def test_q3_dilation_sum_along_powers_of_two():
+    # U_3(2^k, 2) vanishes at odd k, so shift 2's deviation slope on a
+    # power-of-two ladder reads below log4 3
+    for k in range(1, 300):
+        assert dilation_sum(3, 2, 2 ** k) == (0 if k % 2 else -2 * 3 ** (k // 2 - 1)), k
 
 
 def test_spectral_report_every_odd_q_matches_numpy():
