@@ -197,6 +197,8 @@ def cmd_fit(args) -> str:
         samples = []
         for row in reader:
             X = int(row["X"] or "")   # a short row leaves its missing cells None
+            if None in row:           # and a long row keeps its extra cells under None
+                raise ValueError(f"extra field at X={X}")
             v = float(row[col] or "nan")
             if not math.isfinite(v):
                 raise ValueError(f"missing or non-finite {col} at X={X}")

@@ -70,11 +70,7 @@ def walk_prefixes(xs, start, advance) -> dict:
     the depths where a later X branches off, and a state is kept only at a
     slice end.  One distinct X has nothing to share and is walked in one call.
     """
-    xs = set(xs)
-    if len(xs) == 1:
-        X, = xs
-        return {X: advance(start, bin(X)[2:] if X else "")}
-    paths = sorted((bin(X)[2:] if X else "", X) for X in xs)
+    paths = sorted((bin(X)[2:] if X else "", X) for X in set(xs))
     starts = [0] + [_common_prefix(u, v) for (_, u), (_, v) in zip(paths, paths[1:])]
     cuts = sorted(set(starts[1:]))   # depths where a later X branches off
     states = {0: start}   # depth -> state

@@ -20,8 +20,7 @@ import cmath
 import math
 import random
 from collections import namedtuple
-from functools import partial
-from itertools import compress, count, islice, repeat, zip_longest
+from itertools import compress, count, zip_longest
 from operator import add, itemgetter, lshift, mul, sub
 
 MAX_DIM = 64
@@ -58,11 +57,6 @@ def _as_matrix(M) -> IntMatrix:
     return rows
 
 
-def _dot(weights: tuple[int, ...], counts: tuple[int, ...], *rows: int) -> int:
-    """sum(v * (sum of the next k rows)) over the weights v and counts k."""
-    return sum(map(mul, weights, map(sum, map(islice, repeat(iter(rows)), counts))))
-
-
 _PAIR_OPS = {(1, 1): add, (1, -1): sub, (-1, -1): lambda x, y: -x - y}
 
 
@@ -97,11 +91,12 @@ def char_poly(M) -> MonicIntPolynomial:
 
     P[i] = sum_j M^k[i][j] 2^(jW) packs row i of M^k, and a row of M @ P is
     one call f(*get(P)): v times the slice P[t:t+1] for one entry v; add, sub
-    or -x - y for a +-1 pair, as in most transfer-block rows; else _dot.  The
-    trace p_k is lane n - 1 of sum_i P[i] 2^((n-1-i)W), read by centred
-    rounding: its at most n entries of size <= a^(n+1), a the largest row
-    abs-sum, sum to below 2^(W-2).  Newton's identities give the c_k, each
-    division by k asserted exact; the one at k = n + 1 is a self-check.
+    or -x - y for a +-1 pair, as in most transfer-block rows; else the sum of
+    the weighted rows it reads (0 for a zero row).  The trace p_k is lane
+    n - 1 of sum_i P[i] 2^((n-1-i)W), read by centred rounding: its at most n
+    entries of size <= a^(n+1), a the largest row abs-sum, sum to below
+    2^(W-2).  Newton's identities give the c_k, each division by k asserted
+    exact; the one at k = n + 1 is a self-check.
     """
     if len(M) > MAX_DIM:                      # before any entry is read
         raise ValueError(f"dimension {len(M)} exceeds limit {MAX_DIM}")
@@ -114,10 +109,8 @@ def char_poly(M) -> MonicIntPolynomial:
         f = _PAIR_OPS.get(weights)
         if len(cols) == 1:
             f, cols = weights[0].__mul__, [slice(cols[0], cols[0] + 1)]
-        elif f is None:      # the columns of each weight in one run; P[0] twice if none
-            values = sorted(set(weights))
-            cols = [t for _, t in sorted(zip(weights, cols))] or [0, 0]
-            f = partial(_dot, tuple(values), tuple(map(weights.count, values)))
+        elif f is None:      # a zero row reads the empty slice P[0:0], whose sum is 0
+            f, cols = (lambda *values, w=weights: sum(map(mul, w, values))), cols or [slice(0)]
         ops.append((f, itemgetter(*cols)))
     W = (n * max([sum(map(abs, row)) for row in A]) ** (n + 1)).bit_length() + 2
     base, half, shifts = (n - 1) * W, 1 << (W - 1), range((n - 1) * W, -1, -W)

@@ -295,6 +295,16 @@ def test_fit_refuses_missing_or_non_finite_value(tmp_path, capsys, rows, X):
     assert err.splitlines() == [f"error: missing or non-finite value at X={X}"]
 
 
+@pytest.mark.parametrize("rows, X", [("4,1\n8,2\n16,3,extra", 16), ("4,1\n8,2,\n16,3", 8)])
+def test_fit_refuses_a_row_with_an_extra_field(tmp_path, capsys, rows, X):
+    # csv.DictReader keeps the cells past the header under the key None
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"X,value\n{rows}\n")
+    code, out, err = run_cli(capsys, "fit", str(bad))
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"error: extra field at X={X}"]
+
+
 def test_fit_reads_a_field_past_the_csv_default_limit(tmp_path, capsys):
     # an X of about 2^465000 has 140,000 digits, past csv's 131,072-character
     # field limit; `corr --out` can write such a file
@@ -319,6 +329,11 @@ def test_cli_runs_as_a_process():
     done = run("corr", "4", "0", "8")
     assert done.returncode == 1 and done.stdout == ""
     assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("error:")
+    # a command line argparse cannot parse exits 2 with a usage message
+    done = run("corr", "x", "0", "5")
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("usage: tmcorr corr ")
+    assert done.stderr.splitlines()[-1] == "tmcorr corr: error: argument q: invalid int value: 'x'"
 
 
 def test_deterministic_output(capsys):

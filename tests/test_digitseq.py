@@ -138,7 +138,7 @@ def _prefix_batches():
             [*range(60, 68), *range(127, 130)],
             {0, 1, 5, 5, 2, 43, 21, 10, 11},
             [rng.getrandbits(200) | 1 << 199 for _ in range(30)],
-            # one distinct bound: walked in one call, without prefix bookkeeping
+            # one distinct bound: no cut lies inside it, so it is walked in one call
             [0], [1], [2**200 + 12345], [77, 77]]
 
 
@@ -168,7 +168,7 @@ def test_residue_sums_equal_running_sums_by_residue():
 
 
 def test_single_bound_walks_equal_running_sums():
-    # one bound alone: walk_prefixes' one-call path, and residue_entry's
+    # one bound alone: walk_prefixes walks it in one call, and residue_entry's
     # walk over every bit of Y read at one lane; bounds below m, at m and past it
     for m in range(1, 132, 2):
         running = [0] * m

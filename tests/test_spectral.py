@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 import types
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from tmcorr import (MonicIntPolynomial, RootFindingError, build_transfer,
                     char_poly, cluster_roots, dilation_sum, eps, int_poly_gcd,
                     jordan_block_check, roots, shift_vectors, spectral_report,
                     square_free_factors)
+from tmcorr.digitseq import residue_rows
 
 
 # --- independent oracle: cofactor expansion of det(xI - M) -----------------
@@ -179,6 +181,18 @@ def test_char_poly_mirror_blocks_match_bareiss_oracle():
     for q in range(3, 64, 2):
         for block in tmcorr.spectral._mirror_blocks(build_transfer(q)):
             assert char_poly(block).coeffs == char_poly_bareiss_oracle(block), q
+
+
+def test_transfer_mirror_block_rows_are_sign_pairs_or_single_entries():
+    # char_poly steps each such row by one add, subtract or -x - y of two
+    # packed rows, or by one product; any other shape would take its general
+    # weighted sum, which no transfer block reaches
+    shapes = Counter()
+    for q in range(3, 64, 2):
+        for block in tmcorr.spectral._mirror_blocks(build_transfer(q)):
+            shapes.update(tuple(filter(None, row)) for row in block)
+    assert shapes == {(1, 1): 256, (-1, -1): 240, (-1, 1): 240, (1, -1): 225,
+                      (1,): 31, (-2,): 16, (2,): 15}
 
 
 def _two_entry_sign_matrix(rng, n):
@@ -867,6 +881,45 @@ def test_q3_dilation_sum_along_powers_of_two():
     # power-of-two ladder reads below log4 3
     for k in range(1, 300):
         assert dilation_sum(3, 2, 2 ** k) == (0 if k % 2 else -2 * 3 ** (k // 2 - 1)), k
+
+
+def _dilation_step(q):
+    """D_q, the step matrix of the dilation sums, from residue_rows."""
+    D = [[0] * q for _ in range(q)]
+    for l, (a, b) in enumerate(residue_rows(q)):
+        D[l][a] += 1
+        D[l][b] -= 1
+    return D
+
+
+def test_q3_dilation_sums_of_shifts_0_and_1_along_powers_of_two():
+    # |U_3(2^k, h)| reaches 3^(k/2) = X^(log4 3) at every k for h = 0 and 1
+    # (at even k for h = 2, above); D_3 = x^3 - 3x has the simple roots 0 and
+    # +-sqrt 3, so log4 3 bounds them at every X too
+    assert char_poly(_dilation_step(3)).coeffs == (0, -3, 0, 1)
+    for k in range(1, 300):
+        if k % 2:
+            want = (2 * 3 ** (k // 2), -2 * 3 ** (k // 2))
+        else:
+            want = (4 * 3 ** (k // 2 - 1), -2 * 3 ** (k // 2 - 1))
+        assert (dilation_sum(3, 0, 2 ** k), dilation_sum(3, 1, 2 ** k)) == want, k
+
+
+def test_q5_correlation_sums_reach_the_cubic_roots_at_every_shift():
+    # char_poly(T_5) = (x - 1)^2 (x^3 - x + 2), and the cubic has no rational
+    # root, so it is irreducible: a sequence (T_5^k e)_l = S_5(2^k - 1, l) +
+    # eps(l) that (x - 1)^2 does not annihilate has a nonzero, Galois-conjugate
+    # part on all three cubic roots, and |S_5| reaches |rho|^k = X^0.60538...
+    assert all(t ** 3 - t + 2 for t in (1, -1, 2, -2))
+    # U_5 grows more slowly: D_5 = x^5 - 5x has the roots 0 and |z| = 5^(1/4),
+    # below |rho|, since rho lies in (-1.53, -1.52) and 1.52^4 > 5
+    assert char_poly(_dilation_step(5)).coeffs == (0, -5, 0, 0, 0, 1)
+    cubic = lambda t: t ** 3 - t * 100 ** 2 + 2 * 100 ** 3     # 100^3 (x^3 - x + 2), x = t/100
+    assert cubic(-152) > 0 > cubic(-153) and 152 ** 4 > 5 * 100 ** 4
+    powers = _engine_powers(5, 11)
+    for l in range(5):
+        a = [v[l] for v in powers]
+        assert any(a[k + 2] - 2 * a[k + 1] + a[k] for k in range(10)), l
 
 
 def test_spectral_report_every_odd_q_matches_numpy():
