@@ -196,7 +196,10 @@ def cmd_fit(args) -> str:
             raise ValueError("no X column to fit against")
         samples = []
         for row in reader:
-            X = int(row["X"] or "")   # a short row leaves its missing cells None
+            try:
+                X = int(row["X"] or "")   # a short row leaves its missing cells None
+            except ValueError:
+                raise ValueError(f"X must be an integer at row {reader.line_num}") from None
             if None in row:           # and a long row keeps its extra cells under None
                 raise ValueError(f"extra field at X={X}")
             v = float(row[col] or "nan")

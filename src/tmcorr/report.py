@@ -1,19 +1,20 @@
 """CSV/JSON serialization of the CLI's records, and exponent fitting.
 
 ``emit`` writes every CSV and JSON the package produces.  A payload is a
-dict: JSON prints it whole; CSV prints a header of the chosen columns and
-one line per record of ``payload["rows"]`` (or the payload itself when
-it has no rows), with LF endings.  Integers are written without a decimal
-point and reals with 12 significant digits, so integer values round-trip
-losslessly.
+dict: JSON prints it whole, the bytes of ``json.dumps(payload, indent=2)``
+plus LF; CSV prints a header of the chosen columns and one line per record
+of ``payload["rows"]`` (or the payload itself when it has no rows).  Both
+fill one ``%`` template per record shape.  Integers are written verbatim
+and CSV reals with 12 significant digits; NaN and infinities are refused.
 
 A ladder is an ordered list of (X, value) samples; its growth exponent is
 the least-squares slope in log2-log2 space.
 """
 
-import json
 import math
 from collections import namedtuple
+from json.encoder import encode_basestring_ascii as _quote
+from operator import sub
 
 
 def format_number(x) -> str:
@@ -22,6 +23,8 @@ def format_number(x) -> str:
         raise TypeError("booleans are not serialized")
     if isinstance(x, int):
         return str(x)
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite value {x!r} is not serialized")
     if x == int(x) and abs(x) < 2**53:
         return str(int(x))
     return f"{x:.12g}"
@@ -32,20 +35,52 @@ def round12(x: float) -> float:
     return float(f"{x:.12g}")
 
 
+def _json(o, pad: str) -> str:
+    """o as json.dumps(o, indent=2, allow_nan=False) prints it nested at indent pad."""
+    if isinstance(o, str):
+        return _quote(o)
+    if o is None or o is True or o is False:
+        return "null" if o is None else "true" if o else "false"
+    if isinstance(o, (int, float)):
+        if o - o:                       # NaN or an infinity
+            raise ValueError(f"Out of range float values are not JSON compliant: {o!r}")
+        return (int if isinstance(o, int) else float).__repr__(o)
+    if isinstance(o, dict):
+        return _items([o], pad) if o else "{}"
+    if not isinstance(o, (list, tuple)):
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+    return f"[\n{pad}  {_items(o, pad + '  ')}\n{pad}]" if o else "[]"
+
+
+def _items(items, pad: str) -> str:
+    """Non-empty list items at indent pad, one template each: an object for
+    dicts with one key sequence (dict views compare as sets), else '%s'."""
+    keys = tuple(items[0]) if isinstance(items[0], dict) else ()
+    inner, template, cells = pad, "%s", items
+    if keys and all(isinstance(row, dict) and tuple(row) == keys for row in items):
+        inner = pad + "  "
+        fields = f",\n{inner}".join(_quote(k).replace("%", "%%") + ": %s" for k in keys)
+        template = f"{{\n{inner}{fields}\n{pad}}}"
+        cells = [v for row in items for v in row.values()]
+    # '%s' of a plain int or float is its json text; x - x is NaN off the finite reals
+    if not {int, float}.issuperset(map(type, cells)) or any(map(sub, cells, cells)):
+        cells = [_json(v, inner) for v in cells]
+    return f",\n{pad}".join([template] * len(items)) % tuple(cells)
+
+
 def emit(payload: dict, format: str = "csv", columns=()) -> str:
     """Serialize a record payload as json, or as csv with the given columns.
 
-    CSV values go through format_number; strings pass through as they are.
+    CSV ints and strings pass through as they are, others through format_number.
     """
     if format == "json":
-        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        return _json(payload, "") + "\n"
     if format != "csv":
         raise ValueError(f"unknown format {format!r}")
-    lines = [",".join(columns)]
-    for record in payload.get("rows", (payload,)):
-        lines.append(",".join(v if isinstance(v, str) else format_number(v)
-                              for v in map(record.__getitem__, columns)))
-    return "\n".join(lines) + "\n"
+    rows = payload.get("rows", (payload,))
+    cells = [v if type(v) is int or isinstance(v, str) else format_number(v)
+             for record in rows for v in map(record.__getitem__, columns)]
+    return (",".join(["%s"] * len(columns)) + "\n") * (len(rows) + 1) % (*columns, *cells)
 
 
 class SumLadder(namedtuple("SumLadder", "samples")):

@@ -305,6 +305,15 @@ def test_fit_refuses_a_row_with_an_extra_field(tmp_path, capsys, rows, X):
     assert err.splitlines() == [f"error: extra field at X={X}"]
 
 
+@pytest.mark.parametrize("cell", ["", "8.5"])
+def test_fit_refuses_a_non_integer_X_naming_its_row(tmp_path, capsys, cell):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"X,value\n4,1\n{cell},2\n16,3\n32,4\n")
+    code, out, err = run_cli(capsys, "fit", str(bad))
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: X must be an integer at row 3"]
+
+
 def test_fit_reads_a_field_past_the_csv_default_limit(tmp_path, capsys):
     # an X of about 2^465000 has 140,000 digits, past csv's 131,072-character
     # field limit; `corr --out` can write such a file

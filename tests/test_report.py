@@ -5,6 +5,7 @@ import math
 import random
 import statistics
 import sys
+from collections import OrderedDict, namedtuple
 
 import pytest
 
@@ -186,3 +187,108 @@ def test_emit_never_receives_a_record_whole(capsys, monkeypatch, tmp_path):
         assert main(argv) == 0, argv
     assert len(payloads) == 6
     assert not [v for p in payloads for v in parts(p) if hasattr(v, "_fields")]
+
+
+# keys that need escaping in json, and '%' that a % template must escape
+KEYS = ("X", "value", "r%s", "%", "100%%", '"q"', "back\\slash", "tab\t", "é", "Ω≈∞", "")
+Pair = namedtuple("Pair", "left right")
+
+
+def _scalar(rng, numeric):
+    kind = rng.randrange(4 if numeric else 7)
+    if kind == 0:
+        return rng.randrange(-10 ** 6, 10 ** 6)
+    if kind == 1:   # up to about 6000 digits, past the 4300-digit str() cap
+        return rng.getrandbits(rng.choice((70, 300, 20000))) * rng.choice((1, -1))
+    if kind == 2:
+        return rng.uniform(-1e6, 1e6)
+    if kind == 3:
+        return rng.choice((-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1 / 3, 2.0 ** 60))
+    if kind == 4:
+        return rng.choice(KEYS)
+    return rng.choice((True, False, None))
+
+
+def _rows(rng, numeric):
+    """Dicts over one key set, some in another key order."""
+    keys = rng.sample(KEYS, rng.randint(1, 5))
+    return [{k: _scalar(rng, numeric) if rng.random() < 0.95 else _value(rng, 3)
+             for k in (keys if rng.random() < 0.8 else rng.sample(keys, len(keys)))}
+            for _ in range(rng.randint(1, 6))]
+
+
+def _value(rng, depth):
+    kind = rng.randrange(7) if depth < 3 else 0
+    if kind == 0:
+        return _scalar(rng, rng.random() < 0.5)
+    if kind == 1:
+        return {rng.choice(KEYS): _value(rng, depth + 1) for _ in range(rng.randint(0, 4))}
+    if kind == 2:
+        return [_value(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+    if kind == 3:
+        return tuple(_value(rng, depth + 1) for _ in range(rng.randint(0, 3)))
+    if kind == 4:
+        return Pair(_value(rng, depth + 1), _scalar(rng, False))
+    return _rows(rng, numeric=kind == 5)
+
+
+@pytest.fixture
+def no_digit_cap():
+    # lifted as cli.main lifts it around a command
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    yield
+    if limit is not None:
+        sys.set_int_max_str_digits(limit)
+
+
+def _same_as_json_dumps(payload):
+    assert emit(payload, "json") == json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
+def test_emit_json_is_json_dumps_on_random_payloads(no_digit_cap):
+    rng = random.Random(28)
+    for _ in range(400):
+        payload = {rng.choice(KEYS): _value(rng, 1) for _ in range(rng.randint(0, 4))}
+        if rng.random() < 0.5:
+            payload["rows"] = _rows(rng, numeric=rng.random() < 0.7)
+        _same_as_json_dumps(payload)
+
+
+@pytest.mark.parametrize("payload", [
+    # one key set in two orders: each row keeps its own order
+    {"rows": [{"a": 1, "b": 2.5}, {"b": 3, "a": 4}, {"a": 5, "b": 6}]},
+    {"rows": [{"a%s": 1, "%": 2, "%%d": 3.5}] * 3},
+    {"t": (1, 2.5, "x"), "n": Pair(1, [Pair(2, None)]), "e": (), "d": {}, "l": [[], {}]},
+    {"rows": [{}, {}], "mixed": [{"a": 1}, {"a": "s"}, {"b": 1}, 7]},
+    {"rows": [{"X": 2 ** 64, "check": "ok", "v": -0.0, "f": True, "n": None}] * 2},
+    {"é\"\\": ["\x00\u2028", 5e-324, 1e308]},
+    {"o": OrderedDict(a=1, b=[OrderedDict(c=2.5)] * 2), "c": list(range(-3, 70))},
+])
+def test_emit_json_is_json_dumps_on_the_template_traps(payload):
+    _same_as_json_dumps(payload)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_emit_refuses_non_finite_reals_in_both_formats(bad):
+    for payload in ({"v": bad}, {"rows": [{"X": 1, "v": 2.5}, {"X": 2, "v": bad}]},
+                    {"rows": [{"X": 1, "v": bad, "check": "ok"}]}, {"x": [{"y": [bad]}]}):
+        with pytest.raises(ValueError):
+            json.dumps(payload, allow_nan=False)
+        with pytest.raises(ValueError, match="^Out of range float values are not JSON"
+                                             f" compliant: {bad!r}$"):
+            emit(payload, "json")
+    with pytest.raises(ValueError, match=f"^non-finite value {bad!r} is not serialized$"):
+        emit({"rows": [{"X": 1, "v": 2.5}, {"X": 2, "v": bad}]}, "csv", ["X", "v"])
+    with pytest.raises(ValueError, match=f"^non-finite value {bad!r} is not serialized$"):
+        emit({"X": 1, "v": bad}, "csv", ["X", "v"])
+
+
+def test_emit_csv_cells():
+    rows = [{"X": 2 ** 70, "v": 5, "s": "ok", "f": 2.5, "g": 3.0},
+            {"X": 0, "v": -1, "s": "a%sb", "f": 1 / 3, "g": 1e300}]
+    assert emit({"rows": rows}, "csv", ["X", "v", "s", "f", "g"]) == (
+        "X,v,s,f,g\n1180591620717411303424,5,ok,2.5,3\n0,-1,a%sb,0.333333333333,1e+300\n")
+    with pytest.raises(TypeError):
+        emit({"rows": [{"X": 1, "v": True}]}, "csv", ["X", "v"])
