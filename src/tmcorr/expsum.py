@@ -10,7 +10,7 @@ eps is real, so f(X, 1 - alpha) is the conjugate of f(X, alpha).  The roots
 of unity are exactly conjugate-symmetric (e((q-p)/q) is the conjugate of
 e(p/q), and e(1/2) is exactly -1), and complex * and - commute with
 conjugation, so the two mirror sums are bitwise conjugates and have the same
-modulus: a phase scan walks only p <= grid/2.
+modulus: a phase scan walks only the residues 0..grid/2.
 """
 
 import cmath
@@ -20,7 +20,7 @@ from operator import mul, sub
 
 from .digitseq import NAIVE_LIMIT, check_naive_limit, eps   # NAIVE_LIMIT: re-exported
 MAX_PRODUCT_LEVELS = 50
-MAX_GRID = 2**20   # a scan keeps about 130 B per grid point in memory
+MAX_GRID = 2**20   # a scan keeps up to about 140 B per grid point in memory
 _TWO_PI = 2.0 * math.pi
 
 
@@ -77,11 +77,11 @@ def expsum_fast(alpha: RationalPhase, X: int) -> complex:
     |f| can grow like X^0.79 (at alpha = 1/3), leaving double range near X = 2^1293.
     """
     p, q = alpha.p, alpha.q
-    return _finite(_walk(X, 1, lambda k: [_cis(p * pow(2, k, q), q)])[0], p, q, X)
+    return _finite(_walk(X, 1, lambda k: [_cis(p * pow(2, k, q), q)], list)[0], p, q, X)
 
 
-def _walk(X: int, width: int, level) -> list:
-    """[f(X, alpha) for `width` phases alpha]; level(k) lists their e(2^k alpha).
+def _walk(X: int, width: int, level, fold) -> list:
+    """[f(X, alpha) on `width` lanes]; level(k) lists e(2^k alpha), fold relabels.
 
     With G(Y) = sum_{n<=Y} eps(n) e(alpha n), f(X) = G(X-1).  The walk reads
     the bits of X-1 from the top and keeps the state (G(h), G(h-1)) of the
@@ -89,13 +89,20 @@ def _walk(X: int, width: int, level) -> list:
     even and odd, G at phase alpha and prefix 2h+c comes from G' at phase
     2 alpha and prefix h: with M = G'(h+c-1) and e = e(2^k alpha), k the
     number of bits below c, the new state is (G'(h) - e M, M - e G'(h-1)).
+    Between bits, fold(lanes) returns the lanes as a list in the order for k - 1.
     """
     if X < 0:
         raise ValueError("X must be nonnegative")
     Y, V, W = X - 1, [1 + 0j] * width, [0j] * width
-    for k in reversed(range(Y.bit_length() if X else 0)):
-        M, es = (V if Y >> k & 1 else W), level(k)
-        V, W = list(map(sub, V, map(mul, es, M))), list(map(sub, M, map(mul, es, W)))
+    for k in reversed(range(1, Y.bit_length())):
+        es = level(k)
+        if Y >> k & 1:
+            V, W = fold(map(sub, V, map(mul, es, V))), fold(map(sub, V, map(mul, es, W)))
+        else:   # M = W: both halves subtract the same e G'(h-1)
+            eW = list(map(mul, es, W))
+            V, W = fold(map(sub, V, eW)), fold(map(sub, W, eW))
+    if Y > 0:   # the last bit needs only G(X-1)
+        V = list(map(sub, V, map(mul, level(0), V if Y & 1 else W)))
     return V if X else W   # f(0) = G(-1) = 0
 
 
@@ -127,22 +134,25 @@ class ScanResult(namedtuple("ScanResult", "X grid max_modulus argmax_p")):
 def scan_alpha(X: int, grid: int) -> ScanResult:
     """Phase scan over p/grid, p = 1..grid-1; ties keep the lowest p.
 
-    One prefix walk over the lower half p = 1..grid//2 only: f(X, (grid-p)/grid)
-    is bitwise the conjugate of f(X, p/grid), so its modulus is the same float
-    and the lowest p of every tie (and of every sum that is not finite) lies
-    in the lower half.  The cost is grid//2 x bitlen(X) complex steps.
+    f(X, (grid-p)/grid) is bitwise conj f(X, p/grid), so the lowest p of every
+    tie (and of every sum that is not finite) is <= grid/2.  Lane r = 0..grid//2
+    of the walk holds the phases with p 2^k = r mod grid, so every bit uses the
+    one table e(r/grid); then lane r takes lane 2r, or if 2r > grid/2 the
+    conjugate of lane grid - 2r.  The cost is (grid//2 + 1) x bitlen(X) steps.
     """
     if grid < 2:
         raise ValueError("grid must be >= 2")
     if grid > MAX_GRID:
         raise ValueError(f"phase grid refused for grid > {MAX_GRID}")
-    cis = [_cis(j, grid) for j in range(grid)]   # e(j/grid) once per residue j
-    ps = range(1, grid // 2 + 1)
+    cis = [_cis(r, grid) for r in range(grid // 2 + 1)]
+    even, mirror = slice(0, None, 2), slice(grid - 2 * (grid // 4) - 2, None, -2)
 
-    def level(k):   # the level-k phase of p/grid is the residue p 2^k mod grid
-        t = pow(2, k, grid)
-        return [cis[p * t % grid] for p in ps]
+    def fold(lanes, conj=complex.conjugate):
+        w = (v := [*lanes])[even]
+        w += map(conj, v[mirror])
+        return w
 
-    mods = [abs(_finite(f, p, grid, X)) for p, f in zip(ps, _walk(X, len(ps), level))]
+    lanes = _walk(X, len(cis), lambda k: cis, fold)
+    mods = [abs(_finite(lanes[p], p, grid, X)) for p in range(1, len(cis))]
     best = mods.index(max(mods))
     return ScanResult(X=X, grid=grid, max_modulus=mods[best], argmax_p=best + 1)

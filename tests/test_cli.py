@@ -248,6 +248,12 @@ def test_scan_grid_above_limit_is_one_error_line(capsys):
     assert err == f"error: phase grid refused for grid > {MAX_GRID}\n"
 
 
+def test_scan_negative_x_is_one_error_line(capsys):
+    code, out, err = run_cli(capsys, "scan", "--", "-5", "7")
+    assert code == 1 and out == ""
+    assert err == "error: X must be nonnegative\n"
+
+
 def test_fit_round_trip(tmp_path, capsys):
     csv_path = tmp_path / "s3.csv"
     code, out, _ = run_cli(capsys, "corr", "3", "all", "2^10..2^24",

@@ -124,6 +124,9 @@ def test_scan_examples():
 def test_scan_validation():
     with pytest.raises(ValueError):
         scan_alpha(16, 1)
+    for grid in (2, 7, 96):
+        with pytest.raises(ValueError, match="X must be nonnegative"):
+            scan_alpha(-1, grid)
 
 
 def test_scan_refuses_grid_above_limit_before_any_table():
@@ -156,18 +159,21 @@ def _scan_reference(X: int, grid: int) -> ScanResult:
 
 
 _rng = random.Random(20261018)
-SCAN_GRIDS = (2, 3, 7, 12, 64, 360, _rng.randint(13, 99))
+# 96, 256 and 1000 merge lanes at the top bits and read residue 0 for p = grid/2
+SCAN_GRIDS = (2, 3, 4, 5, 6, 7, 12, 64, 96, 256, 360, 999, 1000, _rng.randint(13, 99))
 # 2^0..2^1200, then 300 random X up to 1200 bits.  The reference costs
 # grid x bitlen(X) expsum_fast levels, so each grid checks every (4 grid)-th.
 DEEP_X = ([2 ** k for k in range(1201)]
           + [_rng.getrandbits(_rng.randint(1, 1200)) for _ in range(300)])
+# 1010 bits: the residue benchmark scans 996- to 1024-bit X at grids 3..9
+SMALL_GRID_X = [2 ** 1009, 2 ** 1010 - 1] + [_rng.getrandbits(1010) | 1 << 1009 for _ in range(4)]
 
 
 @pytest.mark.parametrize("grid", SCAN_GRIDS)
 def test_scan_equals_max_of_expsum_fast(grid):
     # exact equality: the scan's root-of-unity table must give the very
     # floats that expsum_fast gets from each reduced phase
-    for X in list(range(301)) + DEEP_X[::4 * grid]:
+    for X in list(range(301)) + DEEP_X[::4 * grid] + (SMALL_GRID_X if 4 <= grid <= 7 else []):
         assert scan_alpha(X, grid) == _scan_reference(X, grid), (X, grid)
 
 
@@ -188,16 +194,17 @@ def test_scan_walks_only_the_lower_half(monkeypatch):
     widths = []
     true_walk = tmcorr.expsum._walk
 
-    def counted(X, width, level):
+    def counted(X, width, level, fold):
         widths.append(width)
-        return true_walk(X, width, level)
+        return true_walk(X, width, level, fold)
 
     monkeypatch.setattr(tmcorr.expsum, "_walk", counted)
     for grid in range(2, 65):
         for X in (0, 1, 1000, 2 ** 40 + 12345):
             widths.clear()
             assert scan_alpha(X, grid).argmax_p <= grid // 2, (X, grid)
-            assert widths == [grid // 2], (X, grid)
+            # one lane per residue 0..grid//2
+            assert widths == [grid // 2 + 1], (X, grid)
 
 
 def test_scan_not_finite_names_lowest_failing_phase():
