@@ -202,7 +202,10 @@ def cmd_fit(args) -> str:
                 raise ValueError(f"X must be an integer at row {reader.line_num}") from None
             if None in row:           # and a long row keeps its extra cells under None
                 raise ValueError(f"extra field at X={X}")
-            v = float(row[col] or "nan")
+            try:
+                v = float(row[col] or "nan")
+            except ValueError:
+                raise ValueError(f"{col} must be a number at X={X}") from None
             if not math.isfinite(v):
                 raise ValueError(f"missing or non-finite {col} at X={X}")
             samples.append((X, v))

@@ -20,7 +20,7 @@ from operator import mul, sub
 
 from .digitseq import NAIVE_LIMIT, check_naive_limit, eps   # NAIVE_LIMIT: re-exported
 MAX_PRODUCT_LEVELS = 50
-MAX_GRID = 2**20   # a scan keeps up to about 140 B per grid point in memory
+MAX_GRID = 2**20   # a scan keeps up to about 115 B per grid point in memory
 _TWO_PI = 2.0 * math.pi
 
 
@@ -96,11 +96,15 @@ def _walk(X: int, width: int, level, fold) -> list:
     Y, V, W = X - 1, [1 + 0j] * width, [0j] * width
     for k in reversed(range(1, Y.bit_length())):
         es = level(k)
+        # first the half whose old list the other half does not read (W on a
+        # 1 bit, V on a 0 bit): that list is freed before the other is built
         if Y >> k & 1:
-            V, W = fold(map(sub, V, map(mul, es, V))), fold(map(sub, V, map(mul, es, W)))
+            W = fold(map(sub, V, map(mul, es, W)))
+            V = fold(map(sub, V, map(mul, es, V)))
         else:   # M = W: both halves subtract the same e G'(h-1)
             eW = list(map(mul, es, W))
-            V, W = fold(map(sub, V, eW)), fold(map(sub, W, eW))
+            V = fold(map(sub, V, eW))
+            W = fold(map(sub, W, eW))
     if Y > 0:   # the last bit needs only G(X-1)
         V = list(map(sub, V, map(mul, level(0), V if Y & 1 else W)))
     return V if X else W   # f(0) = G(-1) = 0

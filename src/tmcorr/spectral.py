@@ -4,13 +4,15 @@ Matrices are plain sequences of equal-length integer rows.  The
 characteristic polynomial comes exactly from the traces of the powers M^k
 by Newton's identities.  Each row of M^k is one Python integer, entry j in
 lane j of a proved width (Kronecker substitution), so a step to M^(k+1) of a
-transfer matrix (two +-1 entries per row) costs one addition per row.  The
-polynomial is split exactly into square-free factors (Yun's algorithm, with
-integer gcds and exact division), so root multiplicities are exact.  The
-simple roots of each factor are found by Aberth-Ehrlich iteration (Bini 1996)
-on float copies of its coefficients, started on their Newton-polygon circles
-(restarts use Fujiwara-bound circles), and accepted on a backward-error
-bound.  The spectral radius of a correlation transfer matrix predicts the
+transfer matrix (two +-1 entries per row) costs one addition per row.
+Polynomials are split exactly into square-free, pairwise coprime pieces
+(Yun's algorithm, with integer gcds and exact division), so root
+multiplicities are exact.  One loop, _spectrum, behind both roots and
+spectral_report, finds the simple roots of each piece by Aberth-Ehrlich
+iteration (Bini 1996) on float copies of its coefficients, started on their
+Newton-polygon circles (restarts use Fujiwara-bound circles), accepted on a
+backward-error bound, within the one budget ROOT_TOL, MAX_ITERATIONS and
+RESTARTS.  The spectral radius of a correlation transfer matrix predicts the
 growth exponent log2(radius) of the correlation sums; spectral_report takes
 that matrix and finds the radius on the two half-size mirror blocks of the
 centrosymmetric matrix.
@@ -27,7 +29,7 @@ MAX_DIM = 64
 DEFAULT_SEED = 12345
 ROOT_TOL = 1e-8      # backward-error bound of an accepted root
 CLUSTER_TOL = 1e-6   # relative distance at which two roots count as one
-MAX_ITERATIONS, RESTARTS = 500, 3    # Aberth budget of roots and spectral_report
+MAX_ITERATIONS, RESTARTS = 500, 3    # Aberth budget of every square-free piece
 # a root stops moving once |p(z)| <= this * sum |c_k| |z|**k: about twice
 # the machine epsilon, below which Horner's own rounding decides the value
 FREEZE_BACKWARD_ERROR = 4e-16
@@ -127,34 +129,31 @@ def char_poly(M) -> MonicIntPolynomial:
     return MonicIntPolynomial(coeffs=tuple(reversed(c)))
 
 
-def roots(p: MonicIntPolynomial, tol: float = ROOT_TOL, max_iterations: int = MAX_ITERATIONS,
-          restarts: int = RESTARTS, seed: int = DEFAULT_SEED) -> list[complex]:
-    """All complex roots of p, each repeated by its exact multiplicity.
+def roots(p: MonicIntPolynomial, seed: int = DEFAULT_SEED) -> list[complex]:
+    """All complex roots of p, sorted by (re, im), each repeated by its exact
+    multiplicity: _spectrum on p alone, whose pieces are its square-free factors."""
+    return [z for z, m in _spectrum([p.coeffs], seed) for _ in range(m)]
 
-    p is split into exact square-free factors (square_free_factors); the
-    roots of each factor are found by Aberth-Ehrlich iteration and each is
-    returned m times for a factor of multiplicity m, sorted by (re, im).
-    A factor's iteration starts on its Newton-polygon circles
+
+def _spectrum(polys, seed: int) -> list[tuple[complex, int]]:
+    """Sorted (root, multiplicity) pairs of prod polys: _factor_roots per _coprime_pieces."""
+    return sorted(((z, m) for f, m in _coprime_pieces(polys) for z in _factor_roots(f, seed)),
+                  key=lambda zm: (zm[0].real, zm[0].imag))
+
+
+def _factor_roots(f: tuple[int, ...], seed: int) -> list[complex]:
+    """Roots of one monic square-free factor f by Aberth-Ehrlich iteration.
+
+    The iteration starts on the Newton-polygon circles of f
     (_newton_polygon_starts) and is accepted when every root meets the
-    backward-error bound |p(z)| <= tol * sum |c_k| |z|**k once its roots
+    backward-error bound |f(z)| <= ROOT_TOL * sum |c_k| |z|**k once the roots
     are made conjugate-symmetric (_pair_conjugates; the coefficients are
     real).  Only if that fails, or the roots off the real axis do not split
     evenly between the half-planes, does it restart from `seed`, up to
-    `restarts` times, on a random circle of 0.5 to 1.5 times the Fujiwara
-    bound 2 max_k |c_{n-k}|**(1/k).  Raises RootFindingError with the
-    backward errors as residuals otherwise, and ValueError beyond float range.
+    RESTARTS times, on a random circle of 0.5 to 1.5 times the Fujiwara bound
+    2 max_k |c_{n-k}|**(1/k).  Raises RootFindingError with the backward
+    errors as residuals otherwise, and ValueError beyond float range.
     """
-    zs: list[complex] = []
-    for f, m in square_free_factors(p.coeffs):      # monic: no constant factor
-        zs.extend(_factor_roots(f, tol, max_iterations, restarts, seed) * m)
-    return sorted(zs, key=lambda z: (z.real, z.imag))
-
-
-def _factor_roots(f: tuple[int, ...], tol: float, max_iterations: int,
-                  restarts: int, seed: int) -> list[complex]:
-    """Roots of one monic square-free factor; see roots."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     try:
         cf = [float(c) for c in f]
     except OverflowError:
@@ -163,19 +162,19 @@ def _factor_roots(f: tuple[int, ...], tol: float, max_iterations: int,
     if deg == 1:
         return [complex(-cf[0])]
     terms = [(c, abs(c)) for c in reversed(cf)]
-    fujiwara = 2.0 * max(abs(cf[deg - k]) ** (1.0 / k) for k in range(1, deg + 1))
-    for attempt in range(restarts + 1):
+    for attempt in range(RESTARTS + 1):
         if attempt == 0:
             zs = _newton_polygon_starts(cf)
         else:
-            if attempt == 1:              # a generator only for a factor that restarts
+            if attempt == 1:              # only a factor that restarts needs these
                 rng = random.Random(seed)
+                fujiwara = 2.0 * max(abs(cf[deg - k]) ** (1.0 / k) for k in range(1, deg + 1))
             jitter, radius = rng.random(), fujiwara * (0.5 + rng.random())
             zs = [radius * cmath.exp(2j * math.pi * (k + jitter) / deg) for k in range(deg)]
-        _aberth(cf, zs, max_iterations)
+        _aberth(terms, zs)
         paired = _pair_conjugates(zs)
         residuals = [_backward_error(terms, z) for z in paired or zs]
-        if paired and all(r <= tol for r in residuals):
+        if paired and all(r <= ROOT_TOL for r in residuals):
             return paired
     raise RootFindingError("root iteration did not converge", sorted(residuals))
 
@@ -216,16 +215,16 @@ def _backward_error(terms: list[tuple[float, float]], z: complex) -> float:
     return abs(value) / scale if scale else 0.0
 
 
-def _aberth(cf: list[float], zs: list[complex], max_iterations: int) -> None:
-    """Aberth-Ehrlich iteration on the approximations zs, in place.
+def _aberth(terms: list[tuple[float, float]], zs: list[complex]) -> None:
+    """Aberth-Ehrlich iteration on the approximations zs, in place, for the
+    polynomial of the (c_k, |c_k|), descending, for up to MAX_ITERATIONS sweeps.
 
     Each root is updated with the values already updated in the sweep
     (Gauss-Seidel); it freezes once its backward error is at rounding
     level, and the iteration ends when all are frozen.
     """
-    terms = [(c, abs(c)) for c in reversed(cf)]
     live = range(len(zs))
-    for _ in range(max_iterations):
+    for _ in range(MAX_ITERATIONS):
         moving = []
         for i in live:
             z = zs[i]
@@ -421,9 +420,10 @@ def spectral_report(T, seed: int = DEFAULT_SEED) -> SpectralReport:
     centrosymmetric of odd order (ValueError otherwise), so its characteristic
     polynomial is the exact product of those of its half-size mirror blocks;
     the antisymmetric block of order 1 is empty and contributes 1.
-    Aberth-Ehrlich (_factor_roots, as in roots) runs once per square-free,
-    pairwise coprime piece of the two, so each distinct eigenvalue is found
-    once, with its exact multiplicity, even when both blocks have it.
+    Aberth-Ehrlich (_factor_roots) runs once per square-free, pairwise
+    coprime piece of the two (_spectrum, as in roots), so each distinct
+    eigenvalue is found once, with its exact multiplicity, even when both
+    blocks have it.
     ValueError is raised for a spectral radius of 0, which has no exponent.
     RootFindingError is raised if two distinct roots cluster
     (cluster_roots), which means the iteration missed one, or if the radius
@@ -432,9 +432,7 @@ def spectral_report(T, seed: int = DEFAULT_SEED) -> SpectralReport:
     T = _as_matrix(T)
     halves = [char_poly(block).coeffs if block else (1,) for block in _mirror_blocks(T)]
     p = MonicIntPolynomial(coeffs=tuple(_poly_product(*halves)))
-    spectrum = sorted(((z, m) for f, m in _coprime_pieces(halves)
-                       for z in _factor_roots(f, ROOT_TOL, MAX_ITERATIONS, RESTARTS, seed)),
-                      key=lambda zm: (zm[0].real, zm[0].imag))
+    spectrum = _spectrum(halves, seed)
     radius = max(abs(z) for z, _ in spectrum)
     if radius == 0:
         raise ValueError("spectral radius is 0: no growth exponent")

@@ -124,7 +124,7 @@ def test_eigen_root_finding_error_is_one_error_line(capsys, monkeypatch):
     import tmcorr.spectral
     from tmcorr import RootFindingError
 
-    def failing(f, tol, max_iterations, restarts, seed):
+    def failing(f, seed):
         raise RootFindingError("root iteration did not converge", [1e28, 3e99])
 
     monkeypatch.setattr(tmcorr.spectral, "_factor_roots", failing)
@@ -299,6 +299,16 @@ def test_fit_refuses_missing_or_non_finite_value(tmp_path, capsys, rows, X):
     code, out, err = run_cli(capsys, "fit", str(bad))
     assert code == 1 and out == ""
     assert err.splitlines() == [f"error: missing or non-finite value at X={X}"]
+
+
+@pytest.mark.parametrize("col, rows, X", [("value", "4,1\n8,abc\n16,3", 8),
+                                          ("deviation", "4,1\n8,2\n16,0x10", 16)])
+def test_fit_refuses_a_non_numeric_value_naming_its_x(tmp_path, capsys, col, rows, X):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"X,{col}\n{rows}\n")
+    code, out, err = run_cli(capsys, "fit", str(bad))
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"error: {col} must be a number at X={X}"]
 
 
 @pytest.mark.parametrize("rows, X", [("4,1\n8,2\n16,3,extra", 16), ("4,1\n8,2,\n16,3", 8)])

@@ -140,6 +140,20 @@ def test_scan_refuses_grid_above_limit_before_any_table():
     assert peak < 100_000, peak   # the table alone would be about 40 MB
 
 
+def test_scan_peak_memory_per_grid_point():
+    # 3^40 - 1 has zero bits, where the walk shares e*W between the halves:
+    # about 115 B per grid point when each half frees its old list before the
+    # other is built, 135 B when both are built from the old V and W
+    grid = 2 ** 14
+    tracemalloc.start()
+    try:
+        scan_alpha(3 ** 40, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / grid < 125, peak / grid
+
+
 def test_cis_mirror_is_exact_conjugate():
     for q in (1, 2, 3, 4, 5, 7, 12, 17, 64, 97, 360, 1000, 10 ** 30 + 57):
         for p in (range(q + 1) if q < 2000 else (0, 1, 2, q // 3, q // 2, q - 1, q)):

@@ -367,9 +367,10 @@ def test_roots_match_numpy_oracle():
                 assert abs(a - complex(b)) < 1e-6, (coeffs, mine, ref)
 
 
-def test_roots_residual_bound():
+def test_roots_residual_bound(monkeypatch):
+    monkeypatch.setattr(tmcorr.spectral, "ROOT_TOL", 1e-8)
     p = MonicIntPolynomial(coeffs=(2, -5, 4, 0, -2, 1))
-    for z in roots(p, tol=1e-8):
+    for z in roots(p):
         assert abs(p(z)) <= 1e-6 * (1 + abs(z)) ** p.degree
         # the acceptance bound: backward error against sum |c_k| |z|^k
         assert abs(p(z)) <= 1e-8 * sum(abs(c) * abs(z) ** k
@@ -434,8 +435,8 @@ def test_roots_refuse_an_unbalanced_conjugate_split(monkeypatch):
     true_aberth = tmcorr.spectral._aberth
     flips = []
 
-    def flip_lower_root(cf, zs, max_iterations):
-        true_aberth(cf, zs, max_iterations)
+    def flip_lower_root(terms, zs):
+        true_aberth(terms, zs)
         if len(flips) < flips_allowed:
             i = min(range(len(zs)), key=lambda i: zs[i].imag)
             zs[i] = zs[i].conjugate()
@@ -443,8 +444,10 @@ def test_roots_refuse_an_unbalanced_conjugate_split(monkeypatch):
 
     monkeypatch.setattr(tmcorr.spectral, "_aberth", flip_lower_root)
     flips_allowed = math.inf
-    with pytest.raises(RootFindingError):
-        roots(p, restarts=0)
+    with monkeypatch.context() as patch:
+        patch.setattr(tmcorr.spectral, "RESTARTS", 0)
+        with pytest.raises(RootFindingError):
+            roots(p)
     flips_allowed = len(flips) + 1                # the first attempt only
     zs = roots(p)
     assert len(flips) == 2 and len(zs) == 3
@@ -462,13 +465,14 @@ def test_roots_from_newton_polygon_starts_on_hard_patterns(coeffs, monkeypatch):
     starts = []
     true_aberth = tmcorr.spectral._aberth
 
-    def record_starts(cf, zs, max_iterations):
+    def record_starts(terms, zs):
         starts.append(list(zs))
-        true_aberth(cf, zs, max_iterations)
+        true_aberth(terms, zs)
 
     monkeypatch.setattr(tmcorr.spectral, "_aberth", record_starts)
+    monkeypatch.setattr(tmcorr.spectral, "RESTARTS", 0)
     deg = len(coeffs) - 1
-    zs = roots(MonicIntPolynomial(coeffs=coeffs), restarts=0)
+    zs = roots(MonicIntPolynomial(coeffs=coeffs))
     assert len(starts) == 1 and len(set(starts[0])) == len(starts[0]) == deg
     assert len(zs) == deg
     conj = sorted((z.conjugate() for z in zs), key=lambda z: (z.real, z.imag))
@@ -489,17 +493,24 @@ def test_aberth_work_on_the_transfer_polynomials(monkeypatch):
         return true_horner(terms, z)
 
     monkeypatch.setattr(tmcorr.spectral, "_horner", counted)
-    for q in range(3, 64, 2):
-        roots(char_poly(build_transfer(q)))
+    yun = {q: roots(char_poly(build_transfer(q))) for q in range(3, 64, 2)}
     assert len(calls) <= 12_000, len(calls)
+    # Yun on the product and the coprime pieces of the two mirror blocks give
+    # the same spectrum (at most 3.5e-14 apart here)
+    for q, zs in yun.items():
+        report = spectral_report(build_transfer(q)).roots
+        pieces = [z for z, m in report for _ in range(m)]
+        assert len(zs) == len(pieces) == q
+        assert all(abs(a - b) <= 1e-9 for a, b in zip(zs, pieces)), q
 
 
-def test_roots_sum_and_product_match_trace_and_det():
+def test_roots_sum_and_product_match_trace_and_det(monkeypatch):
+    monkeypatch.setattr(tmcorr.spectral, "ROOT_TOL", 1e-7)
     rng = random.Random(99)
     for n in (3, 4, 5):
         M = _random_matrix(rng, n)
         p = char_poly(M)
-        zs = roots(p, tol=1e-7)
+        zs = roots(p)
         trace = sum(M[i][i] for i in range(n))
         scale = max(1.0, abs(trace))
         assert abs(sum(zs) - trace) <= 1e-8 * scale
@@ -510,16 +521,13 @@ def test_roots_sum_and_product_match_trace_and_det():
         assert abs(prod - det) <= 1e-8 * max(1.0, abs(det))
 
 
-def test_roots_nonconvergence_reports_residuals():
+def test_roots_nonconvergence_reports_residuals(monkeypatch):
+    for name, value in (("ROOT_TOL", 1e-30), ("MAX_ITERATIONS", 1), ("RESTARTS", 0)):
+        monkeypatch.setattr(tmcorr.spectral, name, value)
     p = MonicIntPolynomial(coeffs=(1, 5, -3, 2, 0, -7, 1, 4, -1, 2, 1))
     with pytest.raises(RootFindingError) as info:
-        roots(p, tol=1e-30, max_iterations=1, restarts=0)
+        roots(p)
     assert info.value.residuals
-
-
-def test_roots_rejects_bad_tol():
-    with pytest.raises(ValueError):
-        roots(MonicIntPolynomial(coeffs=(1, 0, 1)), tol=0.0)
 
 
 def test_cluster_roots_groups_near_duplicates():
@@ -955,11 +963,13 @@ def test_root_finder_builds_its_generator_on_the_first_restart(monkeypatch):
         spectral_report(build_transfer(q))
     assert built == []                    # no factor of these restarts
     # a factor whose every start fails: one generator, and its draws place
-    # the restart circles as the docstring of roots says
-    monkeypatch.setattr(tmcorr.spectral, "_aberth", lambda cf, zs, its: starts.append(list(zs)))
+    # the restart circles as the docstring of _factor_roots says
+    monkeypatch.setattr(tmcorr.spectral, "_aberth", lambda terms, zs: starts.append(list(zs)))
+    for name, value in (("ROOT_TOL", 1e-30), ("MAX_ITERATIONS", 5), ("RESTARTS", 3)):
+        monkeypatch.setattr(tmcorr.spectral, name, value)
     f = (1, 5, -3, 2, 0, -7, 1, 4, -1, 2, 1)
     with pytest.raises(RootFindingError):
-        tmcorr.spectral._factor_roots(f, 1e-30, 5, 3, 99)
+        tmcorr.spectral._factor_roots(f, 99)
     assert built == [99] and len(starts) == 4
     rng, deg = random.Random(99), len(f) - 1
     fujiwara = 2.0 * max(abs(f[deg - k]) ** (1.0 / k) for k in range(1, deg + 1))
@@ -973,12 +983,12 @@ def test_spectral_report_rejects_clustered_and_out_of_bound_roots(monkeypatch):
     system = build_transfer(5)
     key = lambda z: (z.real, z.imag)
 
-    def clustered(f, tol, max_iterations, restarts, seed):   # two distinct roots 1e-9 apart
-        zs = sorted(true_factor_roots(f, tol, max_iterations, restarts, seed), key=key)
+    def clustered(f, seed):   # two distinct roots 1e-9 apart
+        zs = sorted(true_factor_roots(f, seed), key=key)
         return sorted(zs + [zs[0] + 1e-9], key=key)[:-1]
 
-    def scaled(f, tol, max_iterations, restarts, seed):      # radius 3.04 > Gershgorin 2
-        return [2 * z for z in true_factor_roots(f, tol, max_iterations, restarts, seed)]
+    def scaled(f, seed):      # radius 3.04 > Gershgorin 2
+        return [2 * z for z in true_factor_roots(f, seed)]
 
     monkeypatch.setattr(tmcorr.spectral, "_factor_roots", clustered)
     with pytest.raises(RootFindingError, match="distinct roots cluster"):
