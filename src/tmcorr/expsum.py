@@ -9,8 +9,8 @@ floating-point phase would lose the phase entirely after ~50 levels.
 eps is real, so f(X, 1 - alpha) is the conjugate of f(X, alpha).  The roots
 of unity are exactly conjugate-symmetric (e((q-p)/q) is the conjugate of
 e(p/q), and e(1/2) is exactly -1), and complex * and - commute with
-conjugation, so the two mirror sums are bitwise conjugates and have the same
-modulus: a phase scan walks only the residues 0..grid/2.
+conjugation, so the mirror sums are bitwise conjugates of one modulus: a scan
+of grid 2^j m (m odd) walks p/grid for p <= m/2, then p <= grid/2 at the last j bits.
 """
 
 import cmath
@@ -20,7 +20,7 @@ from operator import mul, sub
 
 from .digitseq import NAIVE_LIMIT, check_naive_limit, eps   # NAIVE_LIMIT: re-exported
 MAX_PRODUCT_LEVELS = 50
-MAX_GRID = 2**20   # a scan keeps up to about 115 B per grid point in memory
+MAX_GRID = 2**20   # a scan keeps up to about 126 B per grid point in memory
 _TWO_PI = 2.0 * math.pi
 
 
@@ -77,11 +77,11 @@ def expsum_fast(alpha: RationalPhase, X: int) -> complex:
     |f| can grow like X^0.79 (at alpha = 1/3), leaving double range near X = 2^1293.
     """
     p, q = alpha.p, alpha.q
-    return _finite(_walk(X, 1, lambda k: [_cis(p * pow(2, k, q), q)], list)[0], p, q, X)
+    return _finite(_walk(X, 1, lambda k: [_cis(p * pow(2, k, q), q)])[0], p, q, X)
 
 
-def _walk(X: int, width: int, level, fold) -> list:
-    """[f(X, alpha) on `width` lanes]; level(k) lists e(2^k alpha), fold relabels.
+def _walk(X: int, width: int, level, low: int = 0, widen=None) -> list:
+    """[f(X, alpha) per lane]; level(k) lists e(2^k alpha), widen relabels after bit low.
 
     With G(Y) = sum_{n<=Y} eps(n) e(alpha n), f(X) = G(X-1).  The walk reads
     the bits of X-1 from the top and keeps the state (G(h), G(h-1)) of the
@@ -89,7 +89,6 @@ def _walk(X: int, width: int, level, fold) -> list:
     even and odd, G at phase alpha and prefix 2h+c comes from G' at phase
     2 alpha and prefix h: with M = G'(h+c-1) and e = e(2^k alpha), k the
     number of bits below c, the new state is (G'(h) - e M, M - e G'(h-1)).
-    Between bits, fold(lanes) returns the lanes as a list in the order for k - 1.
     """
     if X < 0:
         raise ValueError("X must be nonnegative")
@@ -99,12 +98,14 @@ def _walk(X: int, width: int, level, fold) -> list:
         # first the half whose old list the other half does not read (W on a
         # 1 bit, V on a 0 bit): that list is freed before the other is built
         if Y >> k & 1:
-            W = fold(map(sub, V, map(mul, es, W)))
-            V = fold(map(sub, V, map(mul, es, V)))
+            W = list(map(sub, V, map(mul, es, W)))
+            V = list(map(sub, V, map(mul, es, V)))
         else:   # M = W: both halves subtract the same e G'(h-1)
             eW = list(map(mul, es, W))
-            V = fold(map(sub, V, eW))
-            W = fold(map(sub, W, eW))
+            V = list(map(sub, V, eW))
+            W = list(map(sub, W, eW))
+        if k == low:
+            V, W = widen(V), widen(W)
     if Y > 0:   # the last bit needs only G(X-1)
         V = list(map(sub, V, map(mul, level(0), V if Y & 1 else W)))
     return V if X else W   # f(0) = G(-1) = 0
@@ -139,24 +140,28 @@ def scan_alpha(X: int, grid: int) -> ScanResult:
     """Phase scan over p/grid, p = 1..grid-1; ties keep the lowest p.
 
     f(X, (grid-p)/grid) is bitwise conj f(X, p/grid), so the lowest p of every
-    tie (and of every sum that is not finite) is <= grid/2.  Lane r = 0..grid//2
-    of the walk holds the phases with p 2^k = r mod grid, so every bit uses the
-    one table e(r/grid); then lane r takes lane 2r, or if 2r > grid/2 the
-    conjugate of lane grid - 2r.  The cost is (grid//2 + 1) x bitlen(X) steps.
+    tie (and of every sum that is not finite) is <= grid/2, and lane p holds
+    p/grid.  With grid = 2^j m, m odd, bit k >= j reads T[p mod m], T[s] =
+    e(s 2^(k-j)/m), so the cost is (m//2 + 1) x (bitlen(X) - j) + (grid//2 + 1) x j steps.
     """
     if grid < 2:
         raise ValueError("grid must be >= 2")
     if grid > MAX_GRID:
         raise ValueError(f"phase grid refused for grid > {MAX_GRID}")
-    cis = [_cis(r, grid) for r in range(grid // 2 + 1)]
-    even, mirror = slice(0, None, 2), slice(grid - 2 * (grid // 4) - 2, None, -2)
+    j, cis = (grid & -grid).bit_length() - 1, [_cis(r, grid) for r in range(grid // 2 + 1)]
+    m, n, top = grid >> j, len(cis), (X - 1).bit_length() - j   # grid = 2^j m, m odd
 
-    def fold(lanes, conj=complex.conjugate):
-        w = (v := [*lanes])[even]
-        w += map(conj, v[mirror])
-        return w
+    def periodic(h, P, w=n):   # x[:w] for x of period P, x[:P//2 + 1] = h, x[-s] = conj x[s]
+        return ((h + [*map(complex.conjugate, h[(P - 1) // 2:0:-1])]) * (w // P + 1))[:w]
 
-    lanes = _walk(X, len(cis), lambda k: cis, fold)
-    mods = [abs(_finite(lanes[p], p, grid, X)) for p in range(1, len(cis))]
+    def level(k):
+        if k >= j:   # T for bit k from T for bit k + 1: s/2 mod m is s/2 or (s+m)/2
+            T[::2], T[1::2] = T[:(m + 1) // 2], T[(m + 1) // 2:]
+            return T
+        return periodic(cis[::1 << k], grid >> k) if k else cis
+    T, d = periodic(cis[::1 << j], m, m), pow(2, top, m)   # T[s] = e(s/m)
+    T = [T[s * d % m] for s in range(m)]                    # T for the bit above the top
+    lanes = _walk(X, m // 2 + 1 if top > 0 else n, level, j, lambda v: periodic(v, m))
+    mods = [abs(_finite(lanes[p], p, grid, X)) for p in range(1, n)]
     best = mods.index(max(mods))
     return ScanResult(X=X, grid=grid, max_modulus=mods[best], argmax_p=best + 1)

@@ -102,7 +102,10 @@ def char_poly(M) -> MonicIntPolynomial:
     """
     if len(M) > MAX_DIM:                      # before any entry is read
         raise ValueError(f"dimension {len(M)} exceeds limit {MAX_DIM}")
-    A = _as_matrix(M)
+    return MonicIntPolynomial(coeffs=_char_poly(_as_matrix(M)))
+
+
+def _char_poly(A: IntMatrix) -> tuple[int, ...]:   # the kernel of char_poly, on checked rows
     n, ops = len(A), []
     for row in A:
         cols, weights = list(compress(count(), row)), tuple(filter(None, row))
@@ -126,7 +129,7 @@ def char_poly(M) -> MonicIntPolynomial:
         assert rem == 0, "Newton's identity must divide exactly"
         c.append(ck)
     assert c.pop() == 0, "Newton's identity at k = n + 1 violated"
-    return MonicIntPolynomial(coeffs=tuple(reversed(c)))
+    return tuple(reversed(c))
 
 
 def roots(p: MonicIntPolynomial, seed: int = DEFAULT_SEED) -> list[complex]:
@@ -400,6 +403,8 @@ def _mirror_blocks(T: IntMatrix) -> tuple[list[list[int]], list[list[int]]]:
     n, h = len(T), len(T) // 2
     if n % 2 == 0 or any(T[n - 1 - i][::-1] != row for i, row in enumerate(T)):
         raise ValueError("matrix is not centrosymmetric of odd order")
+    if h + 1 > MAX_DIM:                       # the order char_poly refuses
+        raise ValueError(f"dimension {h + 1} exceeds limit {MAX_DIM}")
     plus = [[row[k] + row[n - 1 - k] for k in range(h)] + [row[h]] for row in T[:h + 1]]
     minus = [[row[k] - row[n - 1 - k] for k in range(h)] for row in T[:h]]
     return plus, minus
@@ -430,7 +435,7 @@ def spectral_report(T, seed: int = DEFAULT_SEED) -> SpectralReport:
     exceeds the exact Gershgorin bound, the largest row abs-sum.
     """
     T = _as_matrix(T)
-    halves = [char_poly(block).coeffs if block else (1,) for block in _mirror_blocks(T)]
+    halves = [_char_poly(block) if block else (1,) for block in _mirror_blocks(T)]
     p = MonicIntPolynomial(coeffs=tuple(_poly_product(*halves)))
     spectrum = _spectrum(halves, seed)
     radius = max(abs(z) for z, _ in spectrum)

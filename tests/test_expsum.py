@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import struct
 import tracemalloc
 
 import pytest
@@ -204,21 +205,79 @@ def test_fast_mirror_phases_are_exact_conjugates(grid):
             assert expsum_fast(RationalPhase(grid - p, grid), X) == f.conjugate(), (X, p, grid)
 
 
-def test_scan_walks_only_the_lower_half(monkeypatch):
-    widths = []
+def _odd_part(grid: int) -> tuple[int, int]:
+    """(j, m) with grid = 2^j m, m odd."""
+    j = (grid & -grid).bit_length() - 1
+    return j, grid >> j
+
+
+def _spied_walk(monkeypatch):
+    """Patch _walk to record each scan's lanes and the lane count at every bit."""
+    seen = {}
     true_walk = tmcorr.expsum._walk
 
-    def counted(X, width, level, fold):
-        widths.append(width)
-        return true_walk(X, width, level, fold)
+    def spy(X, width, level, low=0, widen=None):
+        seen["widths"], current = {}, [width]
 
-    monkeypatch.setattr(tmcorr.expsum, "_walk", counted)
-    for grid in range(2, 65):
-        for X in (0, 1, 1000, 2 ** 40 + 12345):
-            widths.clear()
+        def counted_level(k):
+            seen["widths"][k] = current[0]
+            return level(k)
+
+        def counted_widen(lanes):   # once per walk, on V and on W
+            assert len(lanes) == width
+            out = widen(lanes)
+            current[0] = len(out)
+            return out
+
+        seen["lanes"] = true_walk(X, width, counted_level, low, counted_widen)
+        return seen["lanes"]
+
+    monkeypatch.setattr(tmcorr.expsum, "_walk", spy)
+    return seen
+
+
+def test_scan_walks_only_the_lower_half(monkeypatch):
+    # no bit walks a lane above grid/2; the bits above the last j of
+    # grid = 2^j m walk only the m//2 + 1 lanes of the odd part
+    seen = _spied_walk(monkeypatch)
+    for grid in list(range(2, 65)) + [96, 640, 1000, 1024]:
+        j, m = _odd_part(grid)
+        for X in (0, 1, 2, 3, 2 ** j, 2 ** j + 1, 1000, 2 ** 40 + 12345):
             assert scan_alpha(X, grid).argmax_p <= grid // 2, (X, grid)
-            # one lane per residue 0..grid//2
-            assert widths == [grid // 2 + 1], (X, grid)
+            assert len(seen["lanes"]) == grid // 2 + 1, (X, grid)
+            bits = (X - 1).bit_length() if X else 0
+            assert sorted(seen["widths"]) == list(range(bits)), (X, grid)
+            for k, width in seen["widths"].items():
+                want = m // 2 + 1 if bits > j and k >= j else grid // 2 + 1
+                assert width == want, (X, grid, k)
+
+
+def _bits_of(z: complex) -> bytes:
+    return struct.pack("<dd", z.real, z.imag)   # tells -0.0 from 0.0
+
+
+# every lane of grids 2^j m, j <= 10: X = 0, 1, 2, the X whose walk ends
+# before the odd part (bitlen(X - 1) <= j), the X that reach it by one bit,
+# and deeper X; the grids of 2^7 x 125 and up check 400 lanes each
+@pytest.mark.parametrize("m", [1, 3, 5, 125])
+def test_scan_lanes_bitwise_equal_expsum_fast(monkeypatch, m):
+    seen = _spied_walk(monkeypatch)
+    rng = random.Random(31 * m)
+    for j in range(11):
+        grid = 2 ** j * m
+        if grid < 2:
+            continue
+        n = grid // 2 + 1
+        lanes = (range(n) if n <= 5000 else
+                 sorted({*range(2 * m), *range(n - m, n), *rng.sample(range(n), 400 - 3 * m)}))
+        xs = {0, 1, 2, 2 ** j - 1, 2 ** j, 2 ** j + 1, 2 ** (j + 1),
+              rng.getrandbits(j + 3), rng.getrandbits(64) | 2 ** 63}
+        for X in sorted(xs):
+            scan_alpha(X, grid)
+            got = seen["lanes"]   # expsum_fast walks too
+            for p in lanes:
+                want = expsum_fast(RationalPhase(p, grid), X)
+                assert _bits_of(got[p]) == _bits_of(want), (X, grid, p)
 
 
 def test_scan_not_finite_names_lowest_failing_phase():

@@ -1086,17 +1086,17 @@ def test_eigenvalue_one_of_q5_lies_in_one_block():
 
 
 def test_char_poly_work_on_the_mirror_blocks(monkeypatch):
-    # spectral_report hands char_poly the two mirror blocks, of orders
-    # q//2 + 1 and q//2, never T_q: n^2 (n - 1) summed over the orders it
-    # gets is about a quarter of sum q^2 (q - 1)
-    true_char_poly = tmcorr.spectral.char_poly
+    # spectral_report hands char_poly's kernel the two mirror blocks, of
+    # orders q//2 + 1 and q//2, never T_q: n^2 (n - 1) summed over the orders
+    # it gets is about a quarter of sum q^2 (q - 1)
+    true_char_poly = tmcorr.spectral._char_poly
     seen = []
 
     def recorded(M):
         seen.append(tuple(map(tuple, M)))
         return true_char_poly(M)
 
-    monkeypatch.setattr(tmcorr.spectral, "char_poly", recorded)
+    monkeypatch.setattr(tmcorr.spectral, "_char_poly", recorded)
     work = 0
     for q in range(3, 64, 2):
         T, h = build_transfer(q), q // 2
