@@ -147,14 +147,11 @@ def build_transfer(q: int) -> tuple[tuple[int, ...], ...]:
     if q < 3 or q % 2 == 0:
         raise ValueError("multiplier must be odd and >= 3")
     rows = []
-    for r, (sign, *cols) in enumerate(shift_rows(q)):
+    for r, (sign, a, b) in enumerate(shift_rows(q)):
+        if not (0 <= a < q and 0 <= b < q and a != b and sign in (1, -1)):
+            raise AssertionError(f"row {r} {(sign, a, b)} of T_{q} is not a closed sign pair")
         row = [0] * q
-        for c in cols:
-            if not 0 <= c < q:
-                raise AssertionError(f"shift alphabet not closed: q={q} r={r} -> {c}")
-            row[c] += sign
-        if sorted(abs(v) for v in row if v) != [1, 1]:
-            raise AssertionError(f"transfer row {r} is not a two-entry sign row: {row}")
+        row[a] = row[b] = sign
         rows.append(tuple(row))
     if any(rows[q - 1 - r] != row[::-1] for r, row in enumerate(rows)):
         raise AssertionError(f"transfer matrix is not centrosymmetric: q={q}")

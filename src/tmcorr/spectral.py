@@ -403,8 +403,6 @@ def _mirror_blocks(T: IntMatrix) -> tuple[list[list[int]], list[list[int]]]:
     n, h = len(T), len(T) // 2
     if n % 2 == 0 or any(T[n - 1 - i][::-1] != row for i, row in enumerate(T)):
         raise ValueError("matrix is not centrosymmetric of odd order")
-    if h + 1 > MAX_DIM:                       # the order char_poly refuses
-        raise ValueError(f"dimension {h + 1} exceeds limit {MAX_DIM}")
     plus = [[row[k] + row[n - 1 - k] for k in range(h)] + [row[h]] for row in T[:h + 1]]
     minus = [[row[k] - row[n - 1 - k] for k in range(h)] for row in T[:h]]
     return plus, minus
@@ -422,18 +420,20 @@ def spectral_report(T, seed: int = DEFAULT_SEED) -> SpectralReport:
     """Spectrum of the square integer matrix T and the exponent log2(spectral radius).
 
     T, such as a transfer matrix from ``build_transfer``, must be
-    centrosymmetric of odd order (ValueError otherwise), so its characteristic
-    polynomial is the exact product of those of its half-size mirror blocks;
-    the antisymmetric block of order 1 is empty and contributes 1.
+    centrosymmetric of odd order n, with (n+1)/2 <= MAX_DIM (ValueError
+    otherwise; the order is checked before any entry is read), so its
+    characteristic polynomial is the exact product of those of its half-size
+    mirror blocks; the antisymmetric block of order 1 is empty and contributes 1.
     Aberth-Ehrlich (_factor_roots) runs once per square-free, pairwise
     coprime piece of the two (_spectrum, as in roots), so each distinct
-    eigenvalue is found once, with its exact multiplicity, even when both
-    blocks have it.
+    eigenvalue is found once, with its exact multiplicity, even if both blocks have it.
     ValueError is raised for a spectral radius of 0, which has no exponent.
     RootFindingError is raised if two distinct roots cluster
     (cluster_roots), which means the iteration missed one, or if the radius
     exceeds the exact Gershgorin bound, the largest row abs-sum.
     """
+    if len(T) // 2 + 1 > MAX_DIM:             # the larger mirror block, before any entry is read
+        raise ValueError(f"dimension {len(T) // 2 + 1} exceeds limit {MAX_DIM}")
     T = _as_matrix(T)
     halves = [_char_poly(block) if block else (1,) for block in _mirror_blocks(T)]
     p = MonicIntPolynomial(coeffs=tuple(_poly_product(*halves)))

@@ -233,13 +233,18 @@ def test_transfer_q5_rows():
                         (0, 0, 0, -1, 1))
 
 
-@pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 15])
+@pytest.mark.parametrize("q", range(3, 258, 2))
 def test_transfer_row_structure(q):
     T = build_transfer(q)
     for row in T:
         nonzero = [v for v in row if v]
         assert len(nonzero) == 2
         assert all(v in (-1, 1) for v in nonzero)
+    # the definition: row s holds its sign (-1 for odd s) at s//2 and (q+s)//2
+    dense = [[0] * q for _ in range(q)]
+    for s in range(q):
+        dense[s][s // 2] = dense[s][(q + s) // 2] = -1 if s % 2 else 1
+    assert T == tuple(map(tuple, dense))
 
 
 def test_transfer_rejects_bad_q():

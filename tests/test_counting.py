@@ -66,6 +66,9 @@ def test_validation():
         count_classes_fast(3, -1, 10)
     with pytest.raises(ValueError):
         count_classes_fast(3, 0, -1)
+    for bad in (lambda: count_classes_naive(3, 0, -1), lambda: count_adjacent(-1)):
+        with pytest.raises(ValueError, match="X must be nonnegative"):
+            bad()
 
 
 def test_naive_guard():

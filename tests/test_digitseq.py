@@ -23,6 +23,8 @@ def test_eps_rejects_negative():
         eps(-1)
     with pytest.raises(ValueError):
         class_of(-5)
+    with pytest.raises(ValueError, match="X must be nonnegative"):
+        eps_partial_sum(-1)
 
 
 def test_class_examples():

@@ -160,6 +160,11 @@ def test_emit_rejects_unknown():
         emit({"rows": [{"X": 4}]}, "csv", ["X", "value"])
     with pytest.raises(ValueError):
         emit({"rows": []}, "yaml")
+    with pytest.raises(TypeError) as want:
+        json.dumps({"x": object()})
+    with pytest.raises(TypeError) as got:
+        emit({"x": object()}, "json")
+    assert str(got.value) == str(want.value)
 
 
 def test_emit_never_receives_a_record_whole(capsys, monkeypatch, tmp_path):

@@ -269,6 +269,8 @@ def test_char_poly_validation():
     big = tuple(tuple(int(i == j) for j in range(65)) for i in range(65))
     with pytest.raises(ValueError):
         char_poly(big)                             # beyond dimension cap
+    with pytest.raises(ValueError, match="matrix must be nonempty"):
+        char_poly(())
 
 
 def test_char_poly_refuses_the_order_before_reading_an_entry():
@@ -278,6 +280,11 @@ def test_char_poly_refuses_the_order_before_reading_an_entry():
 
     with pytest.raises(ValueError, match="dimension 3000 exceeds limit 64"):
         char_poly([Unread()] * 3000)
+    # spectral_report refuses the order of its larger mirror block, which
+    # char_poly would refuse: 65 at order 129; order 127 has blocks of 64 and 63
+    with pytest.raises(ValueError, match="^dimension 65 exceeds limit 64$"):
+        spectral_report([Unread()] * 129)
+    assert spectral_report(build_transfer(127)).poly.degree == 127
 
 
 # --- char_poly at MAX_DIM: closed forms that fill the packed lanes -----------
@@ -1057,6 +1064,8 @@ def test_spectral_report_of_order_one_and_its_refusals():
     assert rep.roots == ((5, 1),) and rep.radius == 5
     with pytest.raises(ValueError, match="matrix must be square"):
         spectral_report(((1, 1),))
+    with pytest.raises(ValueError, match="matrix must be nonempty"):
+        spectral_report(())
     with pytest.raises(ValueError, match="spectral radius is 0"):
         spectral_report(((0, 0, 0),) * 3)
 
