@@ -16,6 +16,9 @@ shared bit prefix once), equal to the direct loops for any X:
   floor(X/2^k) and floor(X/2^k) - 1, entry s folded by eps(s), so each bit
   is E T_q E (E = diag(eps(s)), similar to T_q): one add or one subtract per
   entry, in one pass of a table built once per q and width: O(q log X).
+  Each of the two bit tables runs as a straight-line function (a kernel,
+  ``lambda S: [S[i] + S[j], S[k] - S[l], ...]``) compiled from it once per
+  q and width, on first use.
 - dilation: the qn + r, n <= X, are the N = r (mod q) up to qX + r, so U_q
   is one entry of the residue walk ``digitseq.residue_sums`` less the term
   n = 0.  Its step is D_q, the same rows with the (q+s)//2 term negated, on
@@ -58,7 +61,20 @@ def _corr_steps(q: int, width: int) -> tuple[tuple[tuple[bool, int, int], ...], 
             + tuple((p, a, width + b) for p, a, b in rows))
 
 
-def _corr_walk(steps, S, bits):
+@lru_cache(maxsize=TABLE_CACHE)
+def _corr_kernels(q: int, width: int) -> tuple:
+    """``_corr_steps(q, width)`` compiled: bit c's table as one straight-line
+    function ``lambda S: [S[i] + S[j], S[k] - S[l], ...]``, a term per row,
+    kept like the tables."""
+    kernels = []
+    for c, table in enumerate(_corr_steps(q, width)):
+        terms = ", ".join(f"S[{i}] {'+' if p else '-'} S[{j}]" for p, i, j in table)
+        code = compile(f"lambda S: [{terms}]", f"<corr step q={q} width={width} bit={c}>", "eval")
+        kernels.append(eval(code, {}))
+    return tuple(kernels)
+
+
+def _corr_walk(kernels, S, bits):
     """The folded state after the '0'/'1' string ``bits``, from state ``S``.
 
     The state at a bit prefix h is [G_s(h) for s in 0..R] (R as in
@@ -68,18 +84,19 @@ def _corr_walk(steps, S, bits):
     eps(s) g = eps(a) and the step F'_s = g (F_a + F_b) of F = eps(s) G is
     G'_s = G_a + eps(a) eps(b) G_b: E T_q E, so along X = 2^j - 1 the walk
     reads E T_q^j e, e = (eps(s))_s.  Bit c's table (``_corr_steps``) gives
-    the state at 2h+c in one pass, the halves of 2h+c and 2h+c-1 being h or h-1.
+    the state at 2h+c in one pass, the halves of 2h+c and 2h+c-1 being h or h-1;
+    that pass is one call of ``kernels[c]`` (``_corr_kernels``: the table
+    compiled once per (q, width), on first use).
     """
     for c in bits:
-        S = [S[i] + S[j] if p else S[i] - S[j] for p, i, j in steps[c == "1"]]
+        S = kernels[c == "1"](S)
     return S
 
 
 def _corr_entry(q: int, r: int, X: int) -> int:
     """S_q(X, r), unchecked: the walk to X >> 1, then row r of the last bit alone."""
-    steps = _corr_steps(q, q)
-    S = _corr_walk(steps, [1] * q + [0] * q, bin(X)[2:-1])
-    p, i, j = steps[X & 1][r]
+    S = _corr_walk(_corr_kernels(q, q), [1] * q + [0] * q, bin(X)[2:-1])
+    p, i, j = _corr_steps(q, q)[X & 1][r]
     v = S[i] + S[j] if p else S[i] - S[j]   # G_r(X)
     return v - 1 if eps(r) > 0 else 1 - v
 
@@ -103,7 +120,7 @@ def shift_vectors(q: int, xs, dilation: bool = False, size: int = 0) -> dict[int
     width = max(q, size)
     base = [eps(r) for r in range(width)]   # the n = 0 terms
     if not dilation:   # S_q = eps(r) (G_r - 1); zip reads G(X), the first width entries
-        step = partial(_corr_walk, _corr_steps(q, width))
+        step = partial(_corr_walk, _corr_kernels(q, width))
         walked = walk_prefixes(xs, [1] * width + [0] * width, step)
         return {X: [v - 1 if e > 0 else 1 - v for v, e in zip(S, base)] for X, S in walked.items()}
     R = residue_sums(q, {q * X - 1 for X in xs})   # the terms n = 0..X-1

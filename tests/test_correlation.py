@@ -5,7 +5,7 @@ import pytest
 from tmcorr import (NAIVE_LIMIT, build_transfer, char_poly, corr_fast, corr_naive,
                     count_classes_fast, count_classes_naive, count_tables, dilation_naive,
                     dilation_sum, eps, shift_vectors)
-from tmcorr.correlation import _corr_steps, shift_rows
+from tmcorr.correlation import _corr_kernels, _corr_steps, shift_rows
 from tmcorr.digitseq import TABLE_CACHE, residue_rows
 
 
@@ -144,6 +144,28 @@ def test_step_tables_are_shared_tuples_rebuilt_alike_after_eviction():
     assert (_corr_steps.cache_info().misses, residue_rows.cache_info().misses) == (
         misses[0] + 1, misses[1] + 1)
 
+
+
+def test_step_kernels_equal_the_tables_and_are_cached_per_q_and_width():
+    # each bit's compiled kernel is its table's step, term for term, on any
+    # signed big-integer state; width 1025 is the `count --extension` cap at q = 3
+    rng = random.Random(33)
+    cases = [(q, w) for q in range(1, 64, 2) for w in (q, q + 4)] + [(3, 1025)]
+    assert len(cases) > TABLE_CACHE   # so the first case is evicted by the last
+    first = _corr_kernels(*cases[0])
+    for q, w in cases:
+        kernels = _corr_kernels(q, w)
+        assert _corr_kernels(q, w) is kernels and len(kernels) == 2
+        S = [rng.randrange(-2 ** 300, 2 ** 300) for _ in range(2 * w)]
+        for c, table in enumerate(_corr_steps(q, w)):
+            assert kernels[c](S) == [S[i] + S[j] if p else S[i] - S[j] for p, i, j in table], (q, w, c)
+            assert kernels[c].__code__.co_filename == f"<corr step q={q} width={w} bit={c}>"
+    misses = _corr_kernels.cache_info().misses
+    again = _corr_kernels(*cases[0])   # evicted: compiled anew, to the same code
+    assert _corr_kernels.cache_info().misses == misses + 1 and again is not first
+    for new, old in zip(again, first):
+        assert (new.__code__.co_code, new.__code__.co_consts) == (old.__code__.co_code,
+                                                                  old.__code__.co_consts)
 
 
 def _pair_state_matrix(q, w, c):
