@@ -6,16 +6,18 @@ by Newton's identities.  Each row of M^k is one Python integer, entry j in
 lane j of a proved width (Kronecker substitution), so a step to M^(k+1) of a
 transfer matrix (two +-1 entries per row) costs one addition per row.
 Polynomials are split exactly into square-free, pairwise coprime pieces
-(Yun's algorithm, with integer gcds and exact division), so root
-multiplicities are exact.  One loop, _spectrum, behind both roots and
-spectral_report, finds the simple roots of each piece by Aberth-Ehrlich
-iteration (Bini 1996) on float copies of its coefficients, started on their
-Newton-polygon circles (restarts use Fujiwara-bound circles), accepted on a
-backward-error bound, within the one budget ROOT_TOL, MAX_ITERATIONS and
-RESTARTS.  The spectral radius of a correlation transfer matrix predicts the
-growth exponent log2(radius) of the correlation sums; spectral_report takes
-that matrix and finds the radius on the two half-size mirror blocks of the
-centrosymmetric matrix.
+(Yun's algorithm, with exact division), so root multiplicities are exact.
+Each gcd is a heuristic gcd (Char-Geddes-Gonnet): the digits of one integer
+gcd of both polynomials packed at 2^k >= 2 max |coefficient| + 2; a constant
+certifies gcd 1, other digits must divide both, else k doubles until exact.
+One loop, _spectrum, behind both roots and spectral_report, finds the simple
+roots of each piece by Aberth-Ehrlich iteration (Bini 1996) on float copies
+of its coefficients, started on their Newton-polygon circles (restarts use
+Fujiwara-bound circles), accepted on a backward-error bound, within the one
+budget ROOT_TOL, MAX_ITERATIONS and RESTARTS.  The spectral radius of a
+correlation transfer matrix predicts the growth exponent log2(radius) of the
+correlation sums; spectral_report takes that matrix and finds the radius on
+the two half-size mirror blocks of the centrosymmetric matrix.
 """
 
 import cmath
@@ -297,27 +299,46 @@ def _primitive(p) -> list[int]:
     return [c // content for c in p]
 
 
+def _pack(p, k: int) -> int:
+    """p(2^k) for integer coefficients p, ascending (Kronecker substitution)."""
+    return sum(map(lshift, p, range(0, k * len(p), k)))
+
+
+def _unpack(n: int, k: int) -> list[int]:
+    """n's base-2^k digits in [-2^(k-1), 2^(k-1)), ascending; inverts _pack on such."""
+    half, mask, digits = 1 << k - 1, (1 << k) - 1, []
+    while n:
+        digits.append((n + half & mask) - half)
+        n = n - digits[-1] >> k
+    return digits
+
+
 def int_poly_gcd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """Primitive gcd of two integer polynomials (ascending coefficients).
 
-    Primitive pseudo-remainder sequence: each step takes the lead(b)-scaled
-    remainder of a by b, then divides out its content.  The result has
-    content 1 and a positive leading coefficient; gcd(0, 0) is (0,).
+    Heuristic gcd (Char-Geddes-Gonnet 1989) of the primitive parts: h is the
+    primitive part of the symmetric base-2^k digits of gcd(a(2^k), b(2^k)).
+    With 2^k >= 2 min(|a|_inf, |b|_inf) + 2, an h dividing a and b is their
+    gcd g, as (g/h)(2^k) divides the digits' content (<= 2^(k-1)) yet exceeds
+    2^(k-1) by the Cauchy root bound unless g/h is constant: a constant h
+    certifies gcd 1.  k starts at 2^k >= 2 max(|a|_inf, |b|_inf) + 2 (each
+    spectral_report gcd succeeds there) and doubles on a failed division until
+    the digits of g(2^k) times a divisor of the cofactors' resultant are
+    exact.  The result is primitive with lead > 0; gcd(0, 0) is (0,).
     """
     a, b = _primitive(a), _primitive(b)
-    while b:
-        lead, db = b[-1], len(b) - 1
-        r = a
-        while len(r) > db:
-            f = r.pop()
-            shift = len(r) - db
-            r = [lead * c for c in r]
-            for i in range(db):
-                r[shift + i] -= f * b[i]
-            while r and r[-1] == 0:
-                r.pop()
-        a, b = b, _primitive(r)
-    return tuple(a) if a else (0,)
+    if not (a and b):
+        return tuple(a or b) or (0,)
+    k = (2 * max(map(abs, a + b)) + 1).bit_length()
+    while True:
+        h = _primitive(_unpack(math.gcd(_pack(a, k), _pack(b, k)), k))
+        if len(h) == 1:
+            return (1,)
+        try:
+            _exact_quotient(a, h), _exact_quotient(b, h)
+            return tuple(h)
+        except ArithmeticError:
+            k *= 2
 
 
 def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
@@ -344,11 +365,9 @@ def _derivative(a) -> list[int]:
 
 
 def _poly_product(a, b) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
+    """a * b (nonzero leading coefficients) by one integer product at 2^k."""
+    k = (min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))).bit_length() + 1
+    return _unpack(_pack(a, k) * _pack(b, k), k)
 
 
 def square_free_factors(coeffs) -> list[tuple[tuple[int, ...], int]]:

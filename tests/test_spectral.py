@@ -629,6 +629,39 @@ def fraction_gcd_oracle(a, b):
     return tuple(ints)
 
 
+def prs_gcd_oracle(a, b):
+    """Primitive pseudo-remainder sequence: each step takes the lead(b)-scaled
+    remainder of a by b, then divides out its content."""
+    a, b = tmcorr.spectral._primitive(a), tmcorr.spectral._primitive(b)
+    while b:
+        lead, db = b[-1], len(b) - 1
+        r = a
+        while len(r) > db:
+            f = r.pop()
+            shift = len(r) - db
+            r = [lead * c for c in r]
+            for i in range(db):
+                r[shift + i] -= f * b[i]
+            while r and r[-1] == 0:
+                r.pop()
+        a, b = b, tmcorr.spectral._primitive(r)
+    return tuple(a) if a else (0,)
+
+
+def _count_evaluation_points(monkeypatch):
+    """Record the k of every base-2^k digit read: one per evaluation point of
+    int_poly_gcd (and one per _poly_product)."""
+    points = []
+    unpack = tmcorr.spectral._unpack
+
+    def counted(n, k):
+        points.append(k)
+        return unpack(n, k)
+
+    monkeypatch.setattr(tmcorr.spectral, "_unpack", counted)
+    return points
+
+
 def _random_poly(rng, deg):
     """Degree-deg coefficients in -9..9 with a nonzero leading one."""
     return ([rng.randrange(-9, 10) for _ in range(deg)]
@@ -659,11 +692,90 @@ def test_int_poly_gcd_non_primitive_inputs():
 
 
 def test_int_poly_gcd_derivatives_of_transfer_polys():
-    # q <= 41: the Fraction oracle alone takes seconds per q beyond
-    for q in range(3, 42, 2):
+    # the Fraction oracle takes seconds per q beyond 41; the PRS oracle covers the rest
+    for q in range(3, 64, 2):
         p = char_poly(build_transfer(q))
+        oracle = fraction_gcd_oracle if q <= 41 else prs_gcd_oracle
         assert int_poly_gcd(p.coeffs, _derivative(p.coeffs)) == \
-            fraction_gcd_oracle(p.coeffs, _derivative(p.coeffs)), q
+            oracle(p.coeffs, _derivative(p.coeffs)), q
+
+
+def test_prs_oracle_matches_fraction_oracle():
+    rng = random.Random(79)
+    for _ in range(200):
+        g = _random_poly(rng, rng.randrange(0, 5))
+        a = _poly_mul(g, _random_poly(rng, rng.randrange(0, 7)))
+        b = _poly_mul(g, _random_poly(rng, rng.randrange(0, 7)))
+        assert prs_gcd_oracle(a, b) == fraction_gcd_oracle(a, b), (a, b)
+
+
+def test_int_poly_gcd_on_every_gcd_of_spectral_report(monkeypatch):
+    # every gcd that Yun's steps and the piece splits take, against the PRS,
+    # each settled at its first evaluation point (one digit read; none for a
+    # zero argument), which is what makes the heuristic gcd fast here
+    points = _count_evaluation_points(monkeypatch)
+    gcd, calls = tmcorr.spectral.int_poly_gcd, []
+
+    def recorded(a, b):
+        start = len(points)
+        g = gcd(a, b)
+        calls.append((a, b, g, len(points) - start))
+        return g
+
+    monkeypatch.setattr(tmcorr.spectral, "int_poly_gcd", recorded)
+    for q in range(3, 64, 2):
+        spectral_report(build_transfer(q))
+    assert len(calls) == 174
+    for a, b, g, reads in calls:
+        assert g == prs_gcd_oracle(a, b), (a, b)
+        assert reads == (1 if any(a) and any(b) else 0), (a, b, reads)
+    assert sum(len(g) > 1 and any(a) and any(b) for a, b, g, _ in calls) == 20
+
+
+def test_int_poly_gcd_retries_when_the_candidate_does_not_divide(monkeypatch):
+    points = _count_evaluation_points(monkeypatch)
+    candidates = []
+    primitive = tmcorr.spectral._primitive
+
+    def recorded(p):
+        candidates.append(primitive(p))
+        return candidates[-1]
+
+    monkeypatch.setattr(tmcorr.spectral, "_primitive", recorded)
+    # (x + 1)(x^3 + x^2 - 2) and (x + 1)(x^2 + x + 3): gcd(a(16), b(16)) = 425
+    # reads as 2x^2 - 5x - 7 = (x + 1)(2x - 7), which divides neither
+    a, b = (-2, -2, 1, 2, 1), (3, 4, 2, 1)
+    for scale_a, scale_b in ((1, 1), (6, -10)):
+        candidates.clear()
+        points.clear()
+        scaled = [scale_a * c for c in a], [scale_b * c for c in b]
+        got = int_poly_gcd(*map(tuple, scaled))
+        assert got == (1, 1) == fraction_gcd_oracle(*scaled)
+        assert points == [4, 8]
+        assert candidates[2:] == [[-7, -5, 2], [1, 1]]      # after pp(a), pp(b)
+    # coefficients near 2^200, with a planted factor and a content
+    rng = random.Random(80)
+
+    def big():
+        return rng.randrange(-2 ** 200, 2 ** 200)
+
+    for _ in range(20):
+        g = [big() for _ in range(rng.randrange(1, 4))] + [2 ** 200 + rng.randrange(9)]
+        a = [6 * c for c in _poly_mul(g, [big() for _ in range(rng.randrange(0, 4))] + [1])]
+        b = [-10 * c for c in _poly_mul(g, [big() for _ in range(rng.randrange(0, 4))] + [3])]
+        got = int_poly_gcd(tuple(a), tuple(b))
+        assert got == fraction_gcd_oracle(a, b) == prs_gcd_oracle(a, b), (a, b)
+        assert len(got) >= len(g)
+
+
+def test_poly_product_matches_the_double_loop():
+    rng = random.Random(81)
+    for _ in range(300):
+        size = rng.choice((1, 3, 2 ** 40, 2 ** 200))
+        a = [rng.randrange(-size, size + 1) for _ in range(rng.randrange(0, 9))]
+        b = [rng.randrange(-size, size + 1) for _ in range(rng.randrange(0, 9))]
+        a, b = a + [rng.choice((-size, size))], b + [rng.choice((-1, size))]
+        assert tmcorr.spectral._poly_product(a, b) == _poly_mul(a, b), (a, b)
 
 
 def test_int_poly_gcd_zero_and_trailing_zero_inputs():
