@@ -16,9 +16,10 @@ shared bit prefix once), equal to the direct loops for any X:
   floor(X/2^k) and floor(X/2^k) - 1, entry s folded by eps(s), so each bit
   is E T_q E (E = diag(eps(s)), similar to T_q): one add or one subtract per
   entry, in one pass of a table built once per q and width: O(q log X).
-  Each of the two bit tables runs as a straight-line function (a kernel,
-  ``lambda S: [S[i] + S[j], S[k] - S[l], ...]``) compiled from it once per
-  q and width, on first use.
+  The walk is one function compiled from the two tables once per q and
+  width, on first use, its state in local names, two bits per loop pass.
+  It runs on the closed shifts 0..q at most; the shifts r > q of a batch
+  are read through the tables over the last bitlen(r - q) bits only.
 - dilation: the qn + r, n <= X, are the N = r (mod q) up to qX + r, so U_q
   is one entry of the residue walk ``digitseq.residue_sums`` less the term
   n = 0.  Its step is D_q, the same rows with the (q+s)//2 term negated, on
@@ -28,7 +29,7 @@ One (q, r, X) walks S to X >> 1 and computes only row r of the last bit's
 table, and reads one lane of U; a batch keeps every row and lane.
 """
 
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from .digitseq import (NAIVE_LIMIT, check_naive_limit, eps,   # NAIVE_LIMIT: re-exported
                        TABLE_CACHE, residue_entry, residue_sums, shift_rows, walk_prefixes)
@@ -52,7 +53,7 @@ def corr_naive(q: int, r: int, X: int) -> int:
 
 @lru_cache(maxsize=TABLE_CACHE)
 def _corr_steps(q: int, width: int) -> tuple[tuple[tuple[bool, int, int], ...], ...]:
-    """The '0'-bit and '1'-bit tables of ``_corr_walk``: ``shift_rows``
+    """The '0'-bit and '1'-bit tables of the walk (``_corr_kernels``): ``shift_rows``
     (g, a, b) offset into the state as (p, a, b), p = (eps(a) == eps(b))."""
     rows = [(eps(a) == eps(b), a, b) for _, a, b in shift_rows(q, width)]
     return (tuple((p, a, width + b) for p, a, b in rows)
@@ -62,20 +63,10 @@ def _corr_steps(q: int, width: int) -> tuple[tuple[tuple[bool, int, int], ...], 
 
 
 @lru_cache(maxsize=TABLE_CACHE)
-def _corr_kernels(q: int, width: int) -> tuple:
-    """``_corr_steps(q, width)`` compiled: bit c's table as one straight-line
-    function ``lambda S: [S[i] + S[j], S[k] - S[l], ...]``, a term per row,
-    kept like the tables."""
-    kernels = []
-    for c, table in enumerate(_corr_steps(q, width)):
-        terms = ", ".join(f"S[{i}] {'+' if p else '-'} S[{j}]" for p, i, j in table)
-        code = compile(f"lambda S: [{terms}]", f"<corr step q={q} width={width} bit={c}>", "eval")
-        kernels.append(eval(code, {}))
-    return tuple(kernels)
-
-
-def _corr_walk(kernels, S, bits):
-    """The folded state after the '0'/'1' string ``bits``, from state ``S``.
+def _corr_kernels(q: int, width: int):
+    """The walk ``walk(S, bits)``: the folded state after the '0'/'1' string
+    ``bits``, from state ``S``, as one function compiled from
+    ``_corr_steps(q, width)`` on first use and kept like the tables.
 
     The state at a bit prefix h is [G_s(h) for s in 0..R] (R as in
     shift_rows), then G(h-1) at offset width, with the folded sums
@@ -83,19 +74,44 @@ def _corr_walk(kernels, S, bits):
     G(-1) = 0.  Row (g, a, b) of ``shift_rows`` has s = 2a + (s & 1), so
     eps(s) g = eps(a) and the step F'_s = g (F_a + F_b) of F = eps(s) G is
     G'_s = G_a + eps(a) eps(b) G_b: E T_q E, so along X = 2^j - 1 the walk
-    reads E T_q^j e, e = (eps(s))_s.  Bit c's table (``_corr_steps``) gives
-    the state at 2h+c in one pass, the halves of 2h+c and 2h+c-1 being h or h-1;
-    that pass is one call of ``kernels[c]`` (``_corr_kernels``: the table
-    compiled once per (q, width), on first use).
+    reads E T_q^j e, e = (eps(s))_s.  Bit c's table gives the state at 2h+c
+    in one pass, the halves of 2h+c and 2h+c-1 being h or h-1.  The walk
+    keeps the state in locals s0.. and reads two bits per loop pass: the
+    first sets t_k = s_i +- s_j from its table, the second s_k = t_i +- t_j.
     """
-    for c in bits:
-        S = kernels[c == "1"](S)
+    def step(table, src, dst, indent):
+        return "".join(f"{indent}{dst}{k} = {src}{i} {'+' if p else '-'} {src}{j}\n"
+                       for k, (p, i, j) in enumerate(table))
+
+    zero, one = _corr_steps(q, width)
+    s, t = (", ".join(f"{v}{k}" for k in range(2 * width)) for v in "st")
+    src = (f"def walk(S, bits):\n    {s}, = S\n    it = iter(bits)\n    for c in it:\n"
+           f"        if c == '1':\n{step(one, 's', 't', ' ' * 12)}"
+           f"        else:\n{step(zero, 's', 't', ' ' * 12)}"
+           f"        for c in it:\n            if c == '1':\n{step(one, 't', 's', ' ' * 16)}"
+           f"            else:\n{step(zero, 't', 's', ' ' * 16)}"
+           f"            break\n        else:\n            return [{t}]\n    return [{s}]\n")
+    code = {}
+    exec(compile(src, f"<corr walk q={q} width={width}>", "exec"), code)
+    return code["walk"]
+
+
+def _corr_tail(q: int, width: int, S, bits):
+    """The state at width ``width`` after the last bits of an X, from the
+    state S of the closed shifts 0..q at the bits above them: j bits before
+    the end only the shifts s <= q + ((width-1-q) >> j) are read, and their
+    rows of ``_corr_steps(q, width)`` read only shifts s // 2 and (q+s) // 2."""
+    steps, D = _corr_steps(q, width), width - 1 - q
+    for j, c in zip(range(len(bits) - 1, -1, -1), bits):
+        n, m, table = len(S) // 2, q + 1 + (D >> j), steps[c == "1"]
+        S = S[:n] + [0] * (width - n) + S[n:] + [0] * (width - n)
+        S = [S[a] + S[b] if p else S[a] - S[b] for p, a, b in table[:m] + table[width:width + m]]
     return S
 
 
 def _corr_entry(q: int, r: int, X: int) -> int:
     """S_q(X, r), unchecked: the walk to X >> 1, then row r of the last bit alone."""
-    S = _corr_walk(_corr_kernels(q, q), [1] * q + [0] * q, bin(X)[2:-1])
+    S = _corr_kernels(q, q)([1] * q + [0] * q, bin(X)[2:-1])
     p, i, j = _corr_steps(q, q)[X & 1][r]
     v = S[i] + S[j] if p else S[i] - S[j]   # G_r(X)
     return v - 1 if eps(r) > 0 else 1 - v
@@ -120,8 +136,11 @@ def shift_vectors(q: int, xs, dilation: bool = False, size: int = 0) -> dict[int
     width = max(q, size)
     base = [eps(r) for r in range(width)]   # the n = 0 terms
     if not dilation:   # S_q = eps(r) (G_r - 1); zip reads G(X), the first width entries
-        step = partial(_corr_walk, _corr_kernels(q, width))
-        walked = walk_prefixes(xs, [1] * width + [0] * width, step)
+        core = min(width, q + 1)   # shifts 0..q are closed: shift q reads itself
+        k = (width - core).bit_length()   # the last k bits widen the walk to 0..width-1
+        walked = walk_prefixes({X >> k for X in xs}, [1] * core + [0] * core, _corr_kernels(q, core))
+        if k:   # the low k bits of X, zero-padded: the start state is fixed by a 0 bit
+            walked = {X: _corr_tail(q, width, walked[X >> k], bin(X | 1 << k)[-k:]) for X in xs}
         return {X: [v - 1 if e > 0 else 1 - v for v, e in zip(S, base)] for X, S in walked.items()}
     R = residue_sums(q, {q * X - 1 for X in xs})   # the terms n = 0..X-1
     out = {}

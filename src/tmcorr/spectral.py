@@ -385,16 +385,16 @@ def square_free_factors(coeffs) -> list[tuple[tuple[int, ...], int]]:
     unit = next(c for c in reversed(coeffs) if c) // f[-1]
     factors = [((unit,), 1)] if unit != 1 else []
     df = _derivative(f)
-    g = list(int_poly_gcd(f, df))
-    b, c = _exact_quotient(f, g), _exact_quotient(df, g)
+    g = int_poly_gcd(f, df)   # (1,) or nonconstant, as every gcd here: skip dividing by 1
+    b, c = (f, df) if g == (1,) else (_exact_quotient(f, g), _exact_quotient(df, g))
     m = 1
     while len(b) > 1:
         # b = prod_{j >= m} f_j and d = f_m * sum_{j > m} (j - m) f_j' prod f_l
-        d = [x - y for x, y in zip_longest(c, _derivative(b), fillvalue=0)]
-        a = list(int_poly_gcd(b, d))
-        if len(a) > 1:
-            factors.append((tuple(a), m))
-        b, c = _exact_quotient(b, a), _exact_quotient(d, a)
+        c = d = [x - y for x, y in zip_longest(c, _derivative(b), fillvalue=0)]
+        a = int_poly_gcd(b, d)
+        if a != (1,):
+            factors.append((a, m))
+            b, c = _exact_quotient(b, a), _exact_quotient(d, a)
         m += 1
     return factors
 
@@ -409,7 +409,8 @@ def _coprime_pieces(polys) -> list[tuple[tuple[int, ...], int]]:
             split = []
             for g, n in pieces:
                 d = int_poly_gcd(f, g)
-                f, g = _exact_quotient(f, d), _exact_quotient(g, d)
+                if d != (1,):
+                    f, g = _exact_quotient(f, d), _exact_quotient(g, d)
                 split += [(d, m + n), (g, n)]
             pieces = [(tuple(g), n) for g, n in split + [(f, m)] if len(g) > 1]
     return pieces

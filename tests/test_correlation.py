@@ -1,11 +1,14 @@
 import random
+from operator import mul
 
 import pytest
 
 from tmcorr import (NAIVE_LIMIT, build_transfer, char_poly, corr_fast, corr_naive,
                     count_classes_fast, count_classes_naive, count_tables, dilation_naive,
                     dilation_sum, eps, shift_vectors)
+from tmcorr import correlation
 from tmcorr.correlation import _corr_kernels, _corr_steps, shift_rows
+from tmcorr.counting import _adjacent_tables
 from tmcorr.digitseq import TABLE_CACHE, residue_rows
 
 
@@ -146,26 +149,54 @@ def test_step_tables_are_shared_tuples_rebuilt_alike_after_eviction():
 
 
 
-def test_step_kernels_equal_the_tables_and_are_cached_per_q_and_width():
-    # each bit's compiled kernel is its table's step, term for term, on any
-    # signed big-integer state; width 1025 is the `count --extension` cap at q = 3
-    rng = random.Random(33)
-    cases = [(q, w) for q in range(1, 64, 2) for w in (q, q + 4)] + [(3, 1025)]
-    assert len(cases) > TABLE_CACHE   # so the first case is evicted by the last
+def test_walk_equals_the_table_steps_and_is_cached_per_q_and_width():
+    # the compiled walk is the tables' steps applied one bit at a time, on any
+    # signed big-integer state and any bit string (odd lengths end on the t set)
+    rng = random.Random(35)
+    cases = [(q, w) for q in range(1, 64, 2) for w in (q, q + 1)]
     first = _corr_kernels(*cases[0])
     for q, w in cases:
-        kernels = _corr_kernels(q, w)
-        assert _corr_kernels(q, w) is kernels and len(kernels) == 2
+        walk = _corr_kernels(q, w)
+        assert _corr_kernels(q, w) is walk
+        assert walk.__code__.co_filename == f"<corr walk q={q} width={w}>"
+        steps = _corr_steps(q, w)
         S = [rng.randrange(-2 ** 300, 2 ** 300) for _ in range(2 * w)]
-        for c, table in enumerate(_corr_steps(q, w)):
-            assert kernels[c](S) == [S[i] + S[j] if p else S[i] - S[j] for p, i, j in table], (q, w, c)
-            assert kernels[c].__code__.co_filename == f"<corr step q={q} width={w} bit={c}>"
+        level = {"": S}   # every bit string of each length, by one step from its prefix
+        for _ in range(8):
+            for bits, state in level.items():
+                assert walk(S, bits) == state, (q, w, bits)
+            level = {bits + c: [state[i] + state[j] if p else state[i] - state[j]
+                                for p, i, j in steps[int(c)]]
+                     for bits, state in level.items() for c in "01"}
+        bits, state = "".join(rng.choice("01") for _ in range(61)), S
+        for c in bits:
+            state = [state[i] + state[j] if p else state[i] - state[j] for p, i, j in steps[int(c)]]
+        assert walk(S, bits) == state, (q, w)
+    _corr_kernels(65, 65)   # with the cases, more (q, width) than the cache holds
+    assert len(cases) + 1 > TABLE_CACHE
     misses = _corr_kernels.cache_info().misses
     again = _corr_kernels(*cases[0])   # evicted: compiled anew, to the same code
     assert _corr_kernels.cache_info().misses == misses + 1 and again is not first
-    for new, old in zip(again, first):
-        assert (new.__code__.co_code, new.__code__.co_consts) == (old.__code__.co_code,
-                                                                  old.__code__.co_consts)
+    assert (again.__code__.co_code, again.__code__.co_consts) == (first.__code__.co_code,
+                                                                  first.__code__.co_consts)
+
+
+def test_no_walk_wider_than_the_closed_core_is_built(monkeypatch):
+    # shifts r > q are read through the tables over the last bits, so the
+    # compiled walk never grows past the closed shifts 0..q
+    built = []
+
+    def spy(q, width):
+        built.append((q, width))
+        return kernels(q, width)
+
+    kernels = correlation._corr_kernels
+    monkeypatch.setattr(correlation, "_corr_kernels", spy)
+    xs = [0, 5, 1000, 2 ** 20 + 12345]
+    shift_vectors(3, xs, size=4096)
+    count_tables(63, xs, [1024])
+    _adjacent_tables(xs)
+    assert built and all(w <= q + 1 for q, w in built), built
 
 
 def _pair_state_matrix(q, w, c):
@@ -197,18 +228,21 @@ def test_folded_step_tables_are_the_sign_similar_pair_steps(q):
                          for k, row in enumerate(M)], (q, w, c)
 
 
-@pytest.mark.parametrize("q", [1, 3, 7, 15])
+@pytest.mark.parametrize("q", [1, 3, 7, 15, 63])
 def test_shift_vectors_above_q_equal_direct_loop(q):
     # shifts r >= q are read from the folded state with the sign eps(r) too;
-    # corr_naive refuses them, so the direct loop is written out here
-    size, xs = q + 5, [0, 1, 2, 37, 1000]
-    corr = shift_vectors(q, xs, size=size)
-    dil = shift_vectors(q, xs, dilation=True, size=size)
-    for X in xs:
-        assert corr[X] == [sum(eps(n) * eps(q * n + r) for n in range(1, X + 1))
-                           for r in range(size)], (q, X)
-        assert dil[X] == [sum(eps(q * n + r) for n in range(1, X + 1))
-                          for r in range(size)], (q, X)
+    # corr_naive refuses them, so the direct loops are written out here, on
+    # one table of signs.  The walk runs on shifts 0..q and widens over the
+    # last bitlen(size-1-q) bits: 10 at size 1025, so there X = 0..37 are
+    # shorter than that tail, 1000 as long and 4097 longer.
+    xs, e = [0, 1, 2, 3, 5, 37, 1000, 4097], [eps(n) for n in range(q * 4097 + 1025)]
+    for size in (q + 1, q + 2, q + 5, 2 * q, 3 * q + 7, 1025):
+        corr = shift_vectors(q, xs, size=size)
+        dil = shift_vectors(q, xs, dilation=True, size=size)
+        for X in xs:
+            assert corr[X] == [sum(map(mul, e[1:X + 1], e[q + r:q * X + r + 1:q]))
+                               for r in range(max(q, size))], (q, size, X)
+            assert dil[X] == [sum(e[q + r:q * X + r + 1:q]) for r in range(max(q, size))], (q, size, X)
 
 BATCHES = (
     [2, 5, 10, 11, 21, 43],                        # each bit string a prefix of the next
