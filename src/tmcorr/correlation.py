@@ -26,7 +26,8 @@ shared bit prefix once), equal to the direct loops for any X:
   one packed integer: a few passes over q lanes of O(log qX) bits per bit.
 
 One (q, r, X) walks S to X >> 1 and computes only row r of the last bit's
-table, and reads one lane of U; a batch keeps every row and lane.
+table, and reads U from a table row per 1-bit of qX + r below 2^40 (q <= 199)
+and one lane of the walk above; a batch keeps every row and lane.
 """
 
 from functools import lru_cache

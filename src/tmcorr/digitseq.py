@@ -8,16 +8,23 @@ from the top bit.  ``shift_rows`` is the one table of the halving recursion:
 with its sign at both columns it is the transfer matrix T_q, with the b
 column negated the step D_q of the residue walk ``residue_sums``.  That walk
 keeps every residue class in one integer, a lane each in the order of the
-doubling map's orbits, so a bit is one rotation and one subtraction.
+doubling map's orbits, so a bit is one rotation and one subtraction.  One
+entry reads a row of Gelfond products per 1-bit below 2^40 and walks above.
 """
 
+import sys
 from bisect import bisect_left, bisect_right
 from functools import lru_cache, partial
+from itertools import compress
 
 # direct-loop guard: above this the O(X) paths refuse instead of hanging
 NAIVE_LIMIT = 10**7
 # step tables kept per process, one per modulus (or multiplier and width)
 TABLE_CACHE = 64
+# ``gelfond_rows`` keeps rows 0..40 (a row costs about 3 walk bits to build,
+# so a first call stays within 2x of a 40-bit walk) if they hold <= 2^13
+# entries: above m = 199, reading m lanes costs more than the 40 bits saved
+GELFOND_DEPTH, GELFOND_BUDGET = 40, 2 ** 13
 
 
 def check_naive_limit(X: int) -> None:
@@ -169,13 +176,48 @@ def residue_sums(m: int, ys) -> dict[int, list[int]]:
     return {Y: _residue_read(lanes, walked[Y], range(m)) if Y >= 0 else [0] * m for Y in ys}
 
 
+@lru_cache(maxsize=TABLE_CACHE)
+def gelfond_rows(m: int) -> memoryview:
+    """Rows k = 0..K of Gelfond's product prod_{j<k} (1 - x^(2^j)) mod x^m - 1,
+    flat and read-only: entry k m + i sums eps(L) over L < 2^k, L = i (mod m).
+    Row k + 1 is row k less row k rotated by 2^k, on m 64-bit lanes of one
+    integer, each offset by 2^63 so that none borrows: O(K m) in all."""
+    K = GELFOND_DEPTH if (GELFOND_DEPTH + 1) * m <= GELFOND_BUDGET else 0
+    M, OFF = (1 << 64 * m) - 1, int.from_bytes((bytes(7) + b"\x80") * m, "little")
+    P, rows = OFF + 1, [(1).to_bytes(8 * m, "little")]
+    for k in range(K):
+        r = P << (1 << k) % m * 64
+        P += OFF - (r & M) - (r >> 64 * m)
+        rows.append((P ^ OFF).to_bytes(8 * m, "little"))   # two's complement lanes
+    table = b"".join(rows)
+    if sys.byteorder == "big":   # the lanes are written little-endian
+        table = b"".join(table[i:i + 8][::-1] for i in range(0, len(table), 8))
+    return memoryview(table).cast("q")
+
+
 def residue_entry(m: int, Y: int, l: int) -> int:
     """Entry l of ``residue_sums(m, (Y,))[Y]``, unchecked (odd m, Y >= -1,
-    0 <= l < m): the walk over every bit of Y, then lane l alone."""
+    0 <= l < m).  With rows 0..K of ``gelfond_rows(m)`` and h = Y >> K, the
+    N < h 2^K are N' 2^K + L, L < 2^K: a walk to h - 1 whose class (l - j) / 2^K
+    meets entry j of row K.  Each 1-bit k of Y below K adds row k, signed by
+    eps and offset by the value p mod m of Y's bits above k; last, N = Y."""
     if Y < 0:
         return 0
-    lanes = _residue_lanes(m, Y)
-    return _residue_read(lanes, _residue_walk(lanes, (1, 0, 1, 1), bin(Y)[2:]), (l,))[0]
+    rows = gelfond_rows(m)
+    K = len(rows) // m - 1
+    h, total = Y >> K, 0
+    if h:
+        lanes, js = _residue_lanes(m, h - 1), list(compress(range(m), rows[K * m:]))
+        state, inv = _residue_walk(lanes, (1, 0, 1, 1), bin(h - 1)[2:]), pow(2, -K, m)
+        vs = _residue_read(lanes, state, [(l - j) * inv % m for j in js])
+        total = sum(rows[K * m + j] * v for j, v in zip(js, vs))
+    e, p, low = eps(h), (h << K) % m, Y & ((1 << K) - 1)
+    while low:
+        k = low.bit_length() - 1
+        total += e * rows[k * m + (l - p) % m]
+        low ^= 1 << k
+        e, p = -e, (p + (1 << k)) % m
+    return total + e if p == l else total
 
 
 def gelfond_count(X: int, l: int, m: int, j: int) -> int:
@@ -184,7 +226,8 @@ def gelfond_count(X: int, l: int, m: int, j: int) -> int:
     With m = 2^a m' (m' odd), b = l mod 2^a and c = l >> a (l reduced mod
     m), the n counted are 2^a k + b, k = c (mod m'), k <= K = (X - b) >> a.
     Their low a bits are b, so eps(n) = eps(b) eps(k), and the signed sum is
-    eps(b) times ``residue_entry(m', K, c)``: O(m' log X) steps.
+    eps(b) times ``residue_entry(m', K, c)``: a table read per 1-bit of K below
+    2^40 (m' <= 199), one width-m' step per bit above.
     """
     if m < 1:
         raise ValueError("modulus m must be >= 1")

@@ -9,6 +9,7 @@ long pole (about 40 s); everything else runs in seconds.
 import math
 import random
 import time
+import timeit
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ import pytest
 from tmcorr import (RationalPhase, SumLadder, build_transfer, corr_fast,
                     corr_naive, count_adjacent, count_adjacent_fast,
                     count_classes_fast, count_classes_naive, count_tables,
-                    dilation_naive, expsum_fast, fit_exponent, gelfond_count,
+                    dilation_naive, dilation_sum, expsum_fast, fit_exponent, gelfond_count,
                     jordan_block_check, char_poly, roots, scan_alpha,
                     shift_vectors, spectral_report)
 from tmcorr.correlation import NAIVE_LIMIT
@@ -308,6 +309,18 @@ def test_c10_fast_paths_meet_latency_budget():
     # grid x bitlen(X) = 20,000 halving steps over one table of 1000 roots
     best_scan = min(_time_once(scan_alpha, 2 ** 20, 1000) for _ in range(5))
     assert best_scan < 0.025, f"scan_alpha took {best_scan * 1000:.2f} ms"
+    # one dilation entry below 2^40 is table reads alone: about 5 us, warm
+    dilation_sum(15, 7, 2 ** 20 - 12345)
+    best_dilation = min(timeit.repeat(lambda: dilation_sum(15, 7, 2 ** 20 - 12345),
+                                      number=100, repeat=7)) / 100
+    assert best_dilation < 15e-6, f"dilation_sum took {best_dilation * 1e6:.1f} us"
+    # a first call at a modulus no other test uses builds its table: 41 rows
+    # at m <= 199 (about 0.3 ms with the call), row 0 and a 40-bit walk above
+    # (about 0.8 ms at m = 1001); the best of three such moduli each
+    first_small, first_large = (min(_time_once(gelfond_count, 2 ** 39 + 12345, 5, m, 1)
+                                    for m in ms) for ms in ((193, 195, 197), (1001, 1003, 1005)))
+    assert first_small < 0.001, f"first gelfond_count at m <= 199 took {first_small * 1e3:.2f} ms"
+    assert first_large < 0.0025, f"first gelfond_count at m ~ 1001 took {first_large * 1e3:.2f} ms"
 
     for naive_call in (lambda: corr_naive(3, 0, NAIVE_LIMIT + 1),
                        lambda: dilation_naive(3, 0, NAIVE_LIMIT + 1),
@@ -318,6 +331,8 @@ def test_c10_fast_paths_meet_latency_budget():
     _announce("C10", f"corr_fast {best_corr * 1e3:.2f} ms, "
                      f"count_classes_fast {best_count * 1e3:.2f} ms at X=2^40; "
                      f"scan_alpha {best_scan * 1e3:.2f} ms at 2^20, grid 1000; "
+                     f"dilation_sum {best_dilation * 1e6:.1f} us; first gelfond_count "
+                     f"{first_small * 1e3:.2f} / {first_large * 1e3:.2f} ms; "
                      "naive paths guarded")
 
 

@@ -9,7 +9,7 @@ from tmcorr import (NAIVE_LIMIT, build_transfer, char_poly, corr_fast, corr_naiv
 from tmcorr import correlation
 from tmcorr.correlation import _corr_kernels, _corr_steps, shift_rows
 from tmcorr.counting import _adjacent_tables
-from tmcorr.digitseq import TABLE_CACHE, residue_rows
+from tmcorr.digitseq import TABLE_CACHE, gelfond_rows, residue_rows
 
 
 def test_corr_naive_examples():
@@ -127,11 +127,17 @@ def test_shared_memo_is_pure():
 
 def test_step_tables_are_shared_tuples_rebuilt_alike_after_eviction():
     # the per-bit tables are built once per (q, width) and shared by every
-    # later call, so none of them may be mutable
+    # later call, so none of them may be mutable; the Gelfond rows of the
+    # single entries are one read-only int64 view per modulus
     for table in (*_corr_steps(7, 9), residue_rows(7)):
         assert isinstance(table, tuple) and all(type(row) is tuple for row in table)
     assert _corr_steps(7, 9) is _corr_steps(7, 9) and residue_rows(7) is residue_rows(7)
+    rows = gelfond_rows(7)
+    assert gelfond_rows(7) is rows and rows.readonly and rows.format == "q"
+    with pytest.raises(TypeError):
+        rows[0] = 2
     qs = list(range(1, 2 * TABLE_CACHE + 4, 2))   # more distinct q than a cache holds
+    first = gelfond_rows(qs[0])
 
     def check(q):
         for X in (0, 1, 2, 37, 64):
@@ -139,13 +145,18 @@ def test_step_tables_are_shared_tuples_rebuilt_alike_after_eviction():
             assert corr_fast(q, r, X) == corr_naive(q, r, X), (q, X)
             assert dilation_sum(q, r, X) == dilation_naive(q, r, X), (q, X)
             assert count_classes_fast(q, r, X) == count_classes_naive(q, r, X), (q, X)
+        # a bound qX + r >= 2^K walks its bits above the table (and so reads
+        # residue_rows); the ones above read the table alone
+        X = (1 << len(gelfond_rows(q)) // q - 1) // q + 1
+        assert dilation_sum(q, r, X) == shift_vectors(q, [X], dilation=True)[X][r], q
 
     for q in qs:
         check(q)
-    misses = _corr_steps.cache_info().misses, residue_rows.cache_info().misses
-    check(qs[0])   # evicted: both of its tables are rebuilt
-    assert (_corr_steps.cache_info().misses, residue_rows.cache_info().misses) == (
-        misses[0] + 1, misses[1] + 1)
+    tables = (_corr_steps, residue_rows, gelfond_rows)
+    misses = [t.cache_info().misses for t in tables]
+    check(qs[0])   # evicted: all three of its tables are rebuilt
+    assert [t.cache_info().misses for t in tables] == [n + 1 for n in misses]
+    assert gelfond_rows(qs[0]) is not first and gelfond_rows(qs[0]) == first
 
 
 

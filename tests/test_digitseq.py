@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from tmcorr import class_of, eps, eps_partial_sum, gelfond_count
-from tmcorr.digitseq import (_residue_lanes, _residue_read, _residue_walk, residue_entry,
-                             residue_rows, residue_sums, walk_prefixes)
+from tmcorr.correlation import dilation_sum, shift_vectors
+from tmcorr.digitseq import (_residue_lanes, _residue_read, _residue_walk, gelfond_rows,
+                             residue_entry, residue_rows, residue_sums, walk_prefixes)
 
 from conftest import eps_table
 
@@ -203,13 +204,77 @@ def test_large_bounds_alone_equal_batched_walks():
 
 def test_all_ones_bounds_give_gelfonds_product():
     # Y = 2^k - 1: the sums by class are the coefficients of
-    # prod_{j<k} (1 - x^(2^j)) mod x^m - 1, multiplied out here on plain lists
-    for m in range(1, 64, 2):
+    # prod_{j<k} (1 - x^(2^j)) mod x^m - 1, multiplied out here on plain lists;
+    # so are the rows of the single-entry table, to its depth K
+    for m in [*range(1, 64, 2), 199, 201]:
         poly = [1] + [0] * (m - 1)
+        rows = gelfond_rows(m)
         for k in range(41):
             assert residue_sums(m, [2**k - 1])[2**k - 1] == poly, (m, k)
+            if k < len(rows) // m:
+                assert list(rows[k * m:(k + 1) * m]) == poly, (m, k)
             s = pow(2, k, m)
             poly = [poly[l] - poly[(l - s) % m] for l in range(m)]
+    assert [len(gelfond_rows(m)) // m for m in (1, 199, 201, 10001)] == [41, 41, 1, 1]
+
+
+def _depth(m):
+    """K of the table of modulus m: a bound below 2^K reads no walk."""
+    return len(gelfond_rows(m)) // m - 1
+
+
+@pytest.mark.parametrize("m", [1, 3, 5, 63, 101, 129, 199, 201, 1001])
+def test_single_entries_equal_the_batch_around_the_table_depth(m):
+    # below 2^K an entry is table rows alone; from 2^K on it walks the bits
+    # above K and meets row K.  Every l, but eight at m = 1001 and 600 bits,
+    # where each entry walks all 600 bits on 1001 lanes
+    K, rng = _depth(m), random.Random(m)
+    ys = [2**K - 2, 2**K - 1, 2**K, 2**K + 1, 3 * 2**K - 1, 2**(K + 1) - 1]
+    for Y in ys + [rng.getrandbits(b) | 1 << b - 1 for b in (40, 63, 65, 600)]:
+        want = residue_sums(m, [Y])[Y]
+        ls = rng.sample(range(m), 8) if m * Y.bit_length() > 10**5 else range(m)
+        assert [residue_entry(m, Y, l) for l in ls] == [want[l] for l in ls], (m, Y)
+
+
+def test_shallow_tables_equal_running_sums():
+    # m = 10001 and 65537 keep only row 0: the walk to Y - 1 plus eps(Y)
+    for m in (10001, 65537):
+        assert _depth(m) == 0
+        for Y in (0, 5, m - 1, m, 200001):
+            for l in {0, 1, 5, Y % m, m - 1}:
+                assert residue_entry(m, Y, l) == sum(map(eps, range(l, Y + 1, m))), (m, Y, l)
+
+
+def test_gelfond_count_at_even_moduli_matches_the_batch():
+    # m = 2^a m': the count reads entry c = l >> a of m' at T = (X - b) >> a,
+    # here just below, at and above 2^K of m', and at 70 bits
+    rng = random.Random(2002)
+    for m in (2, 6, 64, 96, 202, 398, 402, 2002):
+        a = (m & -m).bit_length() - 1
+        odd, K = m >> a, _depth(m >> a)
+        for T in {max(0, 2**K + d) for d in (-2, -1, 0, 1)} | {rng.getrandbits(70)}:
+            sums = residue_sums(odd, [T])[T]
+            for l in rng.sample(range(m), min(m, 12)):
+                b, c = l & ((1 << a) - 1), l >> a
+                X = (T << a) + b + rng.randrange(1 << a)   # (X - b) >> a = T
+                N = (T - c) // odd + 1 if T >= c else 0
+                E = eps(b) * sums[c]
+                if l == 0:   # n = 0 is not counted
+                    N, E = N - 1, E - 1
+                assert gelfond_count(X, l, m, 0) == (N + E) // 2, (m, T, l)
+                assert gelfond_count(X, l, m, 1) == (N - E) // 2, (m, T, l)
+
+
+@pytest.mark.parametrize("q", [1, 3, 15, 63, 199, 201])
+def test_dilation_sum_equals_the_batch_around_the_table_depth(q):
+    # qX + r just below and just above 2^K, and X well past it
+    K, rng = _depth(q), random.Random(q)
+    xs = {max(0, (2**K - d) // q) for d in (1, 2, q, 2 * q + 1)} | {2**K // q + 1, 2**K // q + 2}
+    xs |= {rng.getrandbits(80)}
+    batch = shift_vectors(q, xs, dilation=True)
+    for X in xs:
+        rs = range(q) if q < 64 else rng.sample(range(q), 10)
+        assert [dilation_sum(q, r, X) for r in rs] == [batch[X][r] for r in rs], (q, X)
 
 
 def _packed(lanes, R, f):
