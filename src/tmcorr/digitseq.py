@@ -113,11 +113,10 @@ def residue_rows(m: int) -> tuple[tuple[int, int], ...]:
 
 
 def _residue_lanes(m: int, top: int) -> tuple[int, int, int, int, int]:
-    """(m, W, M, OFF, 1/2 mod m) of a residue walk to bounds <= top; 1/2 is
-    minus row 0's -1 column of ``residue_rows(m)``."""
+    """(m, W, M, OFF, 1/2 mod m) of a residue walk to bounds <= top, m odd."""
     W = (top // m + 2).bit_length() + 2
     M = (1 << m * W) - 1
-    return m, W, M, M // ((1 << W) - 1) << W - 1, -residue_rows(m)[0][1] % m
+    return m, W, M, M // ((1 << W) - 1) << W - 1, (m + 1) // 2
 
 
 def _residue_walk(lanes, state, bits):
@@ -197,27 +196,26 @@ def gelfond_rows(m: int) -> memoryview:
 
 def residue_entry(m: int, Y: int, l: int) -> int:
     """Entry l of ``residue_sums(m, (Y,))[Y]``, unchecked (odd m, Y >= -1,
-    0 <= l < m).  With rows 0..K of ``gelfond_rows(m)`` and h = Y >> K, the
-    N < h 2^K are N' 2^K + L, L < 2^K: a walk to h - 1 whose class (l - j) / 2^K
-    meets entry j of row K.  Each 1-bit k of Y below K adds row k, signed by
-    eps and offset by the value p mod m of Y's bits above k; last, N = Y."""
-    if Y < 0:
-        return 0
-    rows = gelfond_rows(m)
+    0 <= l < m): the N < Z = Y + 1.  With rows 0..K of ``gelfond_rows(m)`` and
+    h = Z >> K, the N < h 2^K are N' 2^K + L, L < 2^K: a walk to h - 1 whose
+    class (l - j) / 2^K meets entry j of row K.  Each 1-bit k of Z below K adds
+    row k, signed by eps and offset by the value p mod m of Z's bits above k.
+    At K = 0 (m > 199) that is the walk to Y, read at lane l."""
+    rows, Z = gelfond_rows(m), Y + 1
     K = len(rows) // m - 1
-    h, total = Y >> K, 0
+    h, total = Z >> K, 0
     if h:
         lanes, js = _residue_lanes(m, h - 1), list(compress(range(m), rows[K * m:]))
         state, inv = _residue_walk(lanes, (1, 0, 1, 1), bin(h - 1)[2:]), pow(2, -K, m)
         vs = _residue_read(lanes, state, [(l - j) * inv % m for j in js])
         total = sum(rows[K * m + j] * v for j, v in zip(js, vs))
-    e, p, low = eps(h), (h << K) % m, Y & ((1 << K) - 1)
+    e, p, low = eps(h), (h << K) % m, Z & ((1 << K) - 1)
     while low:
         k = low.bit_length() - 1
         total += e * rows[k * m + (l - p) % m]
         low ^= 1 << k
         e, p = -e, (p + (1 << k)) % m
-    return total + e if p == l else total
+    return total
 
 
 def gelfond_count(X: int, l: int, m: int, j: int) -> int:
@@ -227,8 +225,8 @@ def gelfond_count(X: int, l: int, m: int, j: int) -> int:
     m), the n counted are 2^a k + b, k = c (mod m'), k <= K = (X - b) >> a.
     Their low a bits are b, so eps(n) = eps(b) eps(k), and the signed sum is
     eps(b) times ``residue_entry(m', K, c)``: a table read per 1-bit of K below
-    2^40 (m' <= 199), one width-m' step per bit above.
-    """
+    2^40 (m' <= 199), one width-m' step per bit above.  K >= -1 and c < m', so
+    where K < c both the count (K - c) // m' + 1 and the entry are 0."""
     if m < 1:
         raise ValueError("modulus m must be >= 1")
     if j not in (0, 1):
@@ -239,8 +237,6 @@ def gelfond_count(X: int, l: int, m: int, j: int) -> int:
     a = (m & -m).bit_length() - 1
     odd, b, c = m >> a, l & ((1 << a) - 1), l >> a
     K = (X - b) >> a
-    if K < c:   # no n qualifies
-        return 0
     N, E = (K - c) // odd + 1, eps(b) * residue_entry(odd, K, c)
     if l == 0:   # drop the n = 0 term
         N, E = N - 1, E - 1

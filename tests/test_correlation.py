@@ -145,10 +145,12 @@ def test_step_tables_are_shared_tuples_rebuilt_alike_after_eviction():
             assert corr_fast(q, r, X) == corr_naive(q, r, X), (q, X)
             assert dilation_sum(q, r, X) == dilation_naive(q, r, X), (q, X)
             assert count_classes_fast(q, r, X) == count_classes_naive(q, r, X), (q, X)
-        # a bound qX + r >= 2^K walks its bits above the table (and so reads
-        # residue_rows); the ones above read the table alone
+        # a bound qX + r >= 2^K walks the bits of qX + r + 1 from K up and
+        # reads no step table, so D_q is built here by name; at q <= 199 the
+        # small X above read Gelfond rows alone
         X = (1 << len(gelfond_rows(q)) // q - 1) // q + 1
         assert dilation_sum(q, r, X) == shift_vectors(q, [X], dilation=True)[X][r], q
+        residue_rows(q)
 
     for q in qs:
         check(q)

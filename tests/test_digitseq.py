@@ -1,4 +1,5 @@
 import random
+import types
 
 import numpy as np
 import pytest
@@ -171,8 +172,8 @@ def test_residue_sums_equal_running_sums_by_residue():
 
 
 def test_single_bound_walks_equal_running_sums():
-    # one bound alone: walk_prefixes walks it in one call, and residue_entry's
-    # walk over every bit of Y read at one lane; bounds below m, at m and past it
+    # one bound alone: walk_prefixes walks it in one call, and residue_entry
+    # reads a Gelfond row per 1-bit of Y + 1; bounds below m, at m and past it
     for m in range(1, 132, 2):
         running = [0] * m
         for Y in range(-1, 4 * m + 4):
@@ -218,16 +219,29 @@ def test_all_ones_bounds_give_gelfonds_product():
     assert [len(gelfond_rows(m)) // m for m in (1, 199, 201, 10001)] == [41, 41, 1, 1]
 
 
+def test_big_endian_rows_swap_the_bytes_of_each_lane(monkeypatch):
+    # the rows are built as little-endian lanes; on a big-endian host each
+    # 8-byte entry is reversed in place and the entries keep their order
+    real = {m: gelfond_rows(m) for m in (1, 7, 199)}
+    monkeypatch.setattr("tmcorr.digitseq.sys", types.SimpleNamespace(byteorder="big"))
+    for m, rows in real.items():
+        swapped = gelfond_rows.__wrapped__(m)
+        assert len(swapped) == len(rows) and swapped.readonly, m
+        assert all(swapped[i:i + 1].tobytes() == rows[i:i + 1].tobytes()[::-1]
+                   for i in range(len(rows))), m
+
+
 def _depth(m):
-    """K of the table of modulus m: a bound below 2^K reads no walk."""
+    """K of the table of modulus m: a bound Y with Y + 1 < 2^K reads no walk."""
     return len(gelfond_rows(m)) // m - 1
 
 
 @pytest.mark.parametrize("m", [1, 3, 5, 63, 101, 129, 199, 201, 1001])
 def test_single_entries_equal_the_batch_around_the_table_depth(m):
-    # below 2^K an entry is table rows alone; from 2^K on it walks the bits
-    # above K and meets row K.  Every l, but eight at m = 1001 and 600 bits,
-    # where each entry walks all 600 bits on 1001 lanes
+    # with Y + 1 below 2^K an entry is table rows alone; from Y + 1 = 2^K on
+    # it walks the bits of Y + 1 from K up and meets row K.  Every l, but
+    # eight at m = 1001 and 600 bits, where each entry walks all 600 bits on
+    # 1001 lanes
     K, rng = _depth(m), random.Random(m)
     ys = [2**K - 2, 2**K - 1, 2**K, 2**K + 1, 3 * 2**K - 1, 2**(K + 1) - 1]
     for Y in ys + [rng.getrandbits(b) | 1 << b - 1 for b in (40, 63, 65, 600)]:
@@ -237,10 +251,10 @@ def test_single_entries_equal_the_batch_around_the_table_depth(m):
 
 
 def test_shallow_tables_equal_running_sums():
-    # m = 10001 and 65537 keep only row 0: the walk to Y - 1 plus eps(Y)
+    # m = 10001 and 65537 keep only row 0: the walk to Y, read at lane l
     for m in (10001, 65537):
         assert _depth(m) == 0
-        for Y in (0, 5, m - 1, m, 200001):
+        for Y in (-1, 0, 5, m - 1, m, 200001):
             for l in {0, 1, 5, Y % m, m - 1}:
                 assert residue_entry(m, Y, l) == sum(map(eps, range(l, Y + 1, m))), (m, Y, l)
 
@@ -275,6 +289,33 @@ def test_dilation_sum_equals_the_batch_around_the_table_depth(q):
     for X in xs:
         rs = range(q) if q < 64 else rng.sample(range(q), 10)
         assert [dilation_sum(q, r, X) for r in rs] == [batch[X][r] for r in rs], (q, X)
+
+
+def test_residue_walks_read_no_step_table(monkeypatch):
+    # the packed walk takes 1/2 mod m as (m + 1) // 2, so no residue sum,
+    # entry, count or dilation sum builds D_m or the halving rows; the bounds
+    # lie below and above 2^40 (and so below and above 2^K of every m)
+    ms, ys = (3, 101, 201, 10003), [2**40 - 12345, 2**40 - 1, 2**40, 3**30, 2**70 + 5]
+    sums = {m: residue_sums(m, ys) for m in ms}
+    xs = {q: [2**40 // q - 1, 2**40 // q + 1, 3**30] for q in ms}
+    dilations = {q: shift_vectors(q, xs[q], dilation=True) for q in ms}
+
+    def refuse(*args):
+        raise AssertionError("a step table was built")
+
+    monkeypatch.setattr("tmcorr.digitseq.residue_rows", refuse)
+    monkeypatch.setattr("tmcorr.digitseq.shift_rows", refuse)
+    for m in ms:
+        assert residue_sums(m, ys) == sums[m], m
+        for Y in ys:
+            for l in (0, 1, m // 2, m - 1):
+                R = sums[m][Y]
+                assert residue_entry(m, Y, l) == R[l], (m, Y, l)
+                N, E = (Y - l) // m + (l > 0), R[l] - (l == 0)
+                assert gelfond_count(Y, l, m, 0) == (N + E) // 2, (m, Y, l)
+        for X in xs[m]:
+            for r in (0, 1, m // 2, m - 1):
+                assert dilation_sum(m, r, X) == dilations[m][X][r], (m, X, r)
 
 
 def _packed(lanes, R, f):
