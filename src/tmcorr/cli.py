@@ -20,7 +20,7 @@ from .counting import _adjacent_tables, count_tables
 from .report import SumLadder, emit, fit_exponent, fit_record, round12
 
 NAIVE_CHECK_LIMIT = 10**5
-EXTENSION_LIMIT = 2**10   # count --extension carries every shift 0..r through the engine
+EXTENSION_LIMIT = 2**10   # count --extension walks shifts 0..r over the last bitlen(r - q) bits
 
 
 def _parse_exponent(text: str) -> int:

@@ -25,9 +25,9 @@ shared bit prefix once), equal to the direct loops for any X:
   n = 0.  Its step is D_q, the same rows with the (q+s)//2 term negated, on
   one packed integer: a few passes over q lanes of O(log qX) bits per bit.
 
-One (q, r, X) walks S to X >> 1 and computes only row r of the last bit's
-table, and reads U from a table row per 1-bit of qX + r below 2^40 (q <= 199)
-and one lane of the walk above; a batch keeps every row and lane.
+One (q, r, X) reads entry r of the walk to X, and U from a table row per
+1-bit of qX + r below 2^40 (q <= 199) and one lane of the walk above; a
+batch keeps every entry and lane.
 """
 
 from functools import lru_cache
@@ -111,10 +111,8 @@ def _corr_tail(q: int, width: int, S, bits):
 
 
 def _corr_entry(q: int, r: int, X: int) -> int:
-    """S_q(X, r), unchecked: the walk to X >> 1, then row r of the last bit alone."""
-    S = _corr_kernels(q, q)([1] * q + [0] * q, bin(X)[2:-1])
-    p, i, j = _corr_steps(q, q)[X & 1][r]
-    v = S[i] + S[j] if p else S[i] - S[j]   # G_r(X)
+    """S_q(X, r), unchecked: entry r of the walk to X."""
+    v = _corr_kernels(q, q)([1] * q + [0] * q, bin(X)[2:])[r]   # G_r(X)
     return v - 1 if eps(r) > 0 else 1 - v
 
 

@@ -6,8 +6,8 @@ class 1 (odd digit sum).  Everything here is exact integer arithmetic.
 The fast paths run their steps on ``walk_prefixes``, which reads each bound
 from the top bit.  ``shift_rows`` is the one table of the halving recursion:
 with its sign at both columns it is the transfer matrix T_q, with the b
-column negated the step D_q of the residue walk ``residue_sums``.  That walk
-keeps every residue class in one integer, a lane each in the order of the
+column negated the step D_q of ``residue_sums``, whose walk reads no table:
+it keeps every residue class in one integer, a lane each in the order of the
 doubling map's orbits, so a bit is one rotation and one subtraction.  One
 entry reads a row of Gelfond products per 1-bit below 2^40 and walks above.
 """
@@ -99,16 +99,15 @@ def shift_rows(q: int, size: int = 0) -> tuple[tuple[int, int, int], ...]:
     the terms n = 2k+1 are sign times those k of shift b = (q+s)//2.
     sign = -1 for odd s.  The alphabet is closed under both maps because
     R >= q-1.  Sign at a and b gives the transfer matrix T_q of the
-    correlation sums; with the b term negated the rows form D_q, the step
-    matrix of the dilation sums (``residue_rows``).
+    correlation sums; with the b term negated the rows form D_q
+    (``residue_rows``), which the residue walk applies as a lane rotation.
     """
     return tuple((1 - 2 * (s & 1), s >> 1, (q + s) >> 1) for s in range(max(q, size)))
 
 
-@lru_cache(maxsize=TABLE_CACHE)
 def residue_rows(m: int) -> tuple[tuple[int, int], ...]:
-    """Row l = (column of +1, column of -1) of D_m, the step of ``residue_sums``:
-    ``shift_rows(m)`` with the b term negated, i.e. l/2 and (l-1)/2 mod m."""
+    """Row l = (column of +1, column of -1) of D_m, the step ``residue_sums``
+    takes without this table: ``shift_rows(m)``, b negated: l/2, (l-1)/2 mod m."""
     return tuple((a, b) if g > 0 else (b, a) for g, a, b in shift_rows(m))
 
 

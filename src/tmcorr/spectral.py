@@ -314,29 +314,36 @@ def _unpack(n: int, k: int) -> list[int]:
 
 
 def int_poly_gcd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Primitive gcd of two integer polynomials (ascending coefficients).
+    """Primitive gcd of two integer polynomials (ascending coefficients), with
+    lead > 0; gcd(0, 0) is (0,).  It is the g of ``_gcd_cofactors``."""
+    return _gcd_cofactors(a, b)[0]
 
-    Heuristic gcd (Char-Geddes-Gonnet 1989) of the primitive parts: h is the
-    primitive part of the symmetric base-2^k digits of gcd(a(2^k), b(2^k)).
-    With 2^k >= 2 min(|a|_inf, |b|_inf) + 2, an h dividing a and b is their
-    gcd g, as (g/h)(2^k) divides the digits' content (<= 2^(k-1)) yet exceeds
-    2^(k-1) by the Cauchy root bound unless g/h is constant: a constant h
-    certifies gcd 1.  k starts at 2^k >= 2 max(|a|_inf, |b|_inf) + 2 (each
-    spectral_report gcd succeeds there) and doubles on a failed division until
-    the digits of g(2^k) times a divisor of the cofactors' resultant are
-    exact.  The result is primitive with lead > 0; gcd(0, 0) is (0,).
+
+def _gcd_cofactors(a, b) -> tuple[tuple[int, ...], list[int], list[int]]:
+    """(g, a / g, b / g), g = int_poly_gcd(a, b), by heuristic gcd
+    (Char-Geddes-Gonnet 1989) of the primitive parts: h is the primitive part
+    of the symmetric base-2^k digits of gcd(a(2^k), b(2^k)).  With 2^k >=
+    2 min(|a|_inf, |b|_inf) + 2, an h dividing a and b is their gcd g, as
+    (g/h)(2^k) divides the digits' content (<= 2^(k-1)) yet exceeds 2^(k-1) by
+    the Cauchy root bound unless g/h is constant: a constant h certifies gcd 1,
+    with cofactors a and b.  k starts at 2^k >= 2 max(|a|_inf, |b|_inf) + 2
+    (each spectral_report gcd succeeds there) and doubles on a failed division
+    until the digits of g(2^k) times a divisor of the cofactors' resultant are
+    exact; that division's quotients are returned (a primitive h divides a iff
+    it divides a's primitive part).  A zero argument divides nothing: g is the
+    other's primitive part, and the cofactors are 0 and lead(x) / lead(g).
     """
-    a, b = _primitive(a), _primitive(b)
-    if not (a and b):
-        return tuple(a or b) or (0,)
-    k = (2 * max(map(abs, a + b)) + 1).bit_length()
+    pa, pb = _primitive(a), _primitive(b)
+    if not (pa and pb):
+        g = pa or pb
+        return tuple(g) or (0,), pa and [a[len(g) - 1] // g[-1]], pb and [b[len(g) - 1] // g[-1]]
+    k = (2 * max(map(abs, pa + pb)) + 1).bit_length()
     while True:
-        h = _primitive(_unpack(math.gcd(_pack(a, k), _pack(b, k)), k))
+        h = _primitive(_unpack(math.gcd(_pack(pa, k), _pack(pb, k)), k))
         if len(h) == 1:
-            return (1,)
+            return (1,), a, b
         try:
-            _exact_quotient(a, h), _exact_quotient(b, h)
-            return tuple(h)
+            return tuple(h), _exact_quotient(a, h), _exact_quotient(b, h)
         except ArithmeticError:
             k *= 2
 
@@ -376,25 +383,21 @@ def square_free_factors(coeffs) -> list[tuple[tuple[int, ...], int]]:
     Returns [(f_m, m)] with coeffs == prod f_m**m.  The f_m of degree >= 1
     are primitive, square-free and pairwise coprime, with a positive
     leading coefficient (so monic when coeffs is monic), in increasing m;
-    a constant factor other than 1 (content and sign) comes first.  Every
-    gcd is int_poly_gcd and every division is exact over the integers.
+    a constant factor other than 1 (content and sign) comes first.  Each
+    step divides by a gcd through the quotients ``_gcd_cofactors`` returns.
     """
     f = _primitive(coeffs)
     if not f:
         raise ValueError("the zero polynomial has no factorization")
     unit = next(c for c in reversed(coeffs) if c) // f[-1]
     factors = [((unit,), 1)] if unit != 1 else []
-    df = _derivative(f)
-    g = int_poly_gcd(f, df)   # (1,) or nonconstant, as every gcd here: skip dividing by 1
-    b, c = (f, df) if g == (1,) else (_exact_quotient(f, g), _exact_quotient(df, g))
+    _, b, c = _gcd_cofactors(f, _derivative(f))
     m = 1
     while len(b) > 1:
-        # b = prod_{j >= m} f_j and d = f_m * sum_{j > m} (j - m) f_j' prod f_l
-        c = d = [x - y for x, y in zip_longest(c, _derivative(b), fillvalue=0)]
-        a = int_poly_gcd(b, d)
+        # b = prod_{j >= m} f_j and c - b' = f_m * sum_{j > m} (j - m) f_j' prod f_l
+        a, b, c = _gcd_cofactors(b, [x - y for x, y in zip_longest(c, _derivative(b), fillvalue=0)])
         if a != (1,):
             factors.append((a, m))
-            b, c = _exact_quotient(b, a), _exact_quotient(d, a)
         m += 1
     return factors
 
@@ -408,9 +411,7 @@ def _coprime_pieces(polys) -> list[tuple[tuple[int, ...], int]]:
         for f, m in square_free_factors(p):
             split = []
             for g, n in pieces:
-                d = int_poly_gcd(f, g)
-                if d != (1,):
-                    f, g = _exact_quotient(f, d), _exact_quotient(g, d)
+                d, f, g = _gcd_cofactors(f, g)
                 split += [(d, m + n), (g, n)]
             pieces = [(tuple(g), n) for g, n in split + [(f, m)] if len(g) > 1]
     return pieces

@@ -30,6 +30,10 @@ ADDRESS_SPACE = 4 << 30   # bytes per child
 CPU_SECONDS = 300         # per child
 
 DIGITSEQ = "tmcorr/digitseq.py"
+CORRELATION = "tmcorr/correlation.py"
+COUNTING = "tmcorr/counting.py"
+SPECTRAL = "tmcorr/spectral.py"
+CLI = "tmcorr/cli.py"
 T = "tests/test_digitseq.py::"
 PACKED_STEP = T + "test_one_packed_step_is_one_residue_rows_step"
 RUNNING_SUMS = T + "test_residue_sums_equal_running_sums_by_residue"
@@ -38,6 +42,8 @@ SHALLOW = T + "test_shallow_tables_equal_running_sums"
 TABLE_DEPTH = T + "test_single_entries_equal_the_batch_around_the_table_depth"
 GELFOND_PRODUCT = T + "test_all_ones_bounds_give_gelfonds_product"
 NO_STEP_TABLE = T + "test_residue_walks_read_no_step_table"
+C1D = "tests/test_acceptance.py::test_c1_gelfond_count_equals_brute_force"
+S = "tests/test_spectral.py::"
 
 MUTANTS = [
     (DIGITSEQ, "W = (top // m + 2).bit_length() + 2", "W = (top // m + 2).bit_length() + 1",
@@ -45,7 +51,7 @@ MUTANTS = [
      [PACKED_STEP]),
     (DIGITSEQ, "W = (top // m + 2).bit_length() + 2", "W = (top // m + 2).bit_length()",
      "residue lanes two bits narrower (W - 2)",
-     [PACKED_STEP, RUNNING_SUMS]),
+     [PACKED_STEP, RUNNING_SUMS, C1D]),
     (DIGITSEQ, "(m + 1) // 2", "(m - 1) // 2",
      "1/2 mod m taken as (m - 1) / 2: the lanes rotate by the wrong power of 2",
      [PACKED_STEP, RUNNING_SUMS]),
@@ -72,6 +78,31 @@ MUTANTS = [
      "GELFOND_DEPTH, GELFOND_BUDGET = 39, 2 ** 13",
      "Gelfond tables one row shallower than the documented 2^40",
      [GELFOND_PRODUCT]),
+    (CORRELATION, "bin(X)[2:])[r]", "bin(X)[2:-1])[r]",
+     "a single correlation entry walks to X >> 1, one bit short of X",
+     ["tests/test_correlation.py::test_corr_fast_examples"]),
+    (CORRELATION, "q + 1 + (D >> j)", "q + (D >> j)",
+     "the tail of a wide walk reads one shift too few per bit",
+     ["tests/test_cli.py::test_count_extension_flag"]),
+    (COUNTING, "if total != X:", "if total > X:",
+     "CountTable refuses only cells that sum above X",
+     ["tests/test_counting.py::test_kept_checks"]),
+    (SPECTRAL, "return (1,), a, b", "return (1,), b, a",
+     "the cofactors of a gcd 1 come back swapped",
+     [S + "test_gcd_cofactors_give_both_arguments_back",
+      S + "test_square_free_factors_powers_of_x_and_x_minus_1"]),
+    (SPECTRAL, "pa and [a[len(g) - 1] // g[-1]]", "pa and [1]",
+     "against a zero argument, a's cofactor drops a's content and sign",
+     [S + "test_gcd_cofactors_give_both_arguments_back"]),
+    (SPECTRAL, "max(map(abs, b))).bit_length() + 1", "max(map(abs, b))).bit_length()",
+     "_poly_product packs at 2^(k - 1): a product coefficient overflows its digit",
+     [S + "test_poly_product_matches_the_double_loop"]),
+    (SPECTRAL, "** (n + 1)).bit_length() + 2", "** (n + 1)).bit_length()",
+     "char_poly's power lanes two bits narrower (W - 2): a trace is misread",
+     ["tests/test_cli.py::test_eigen_q3"]),
+    (CLI, "r >= q and r > EXTENSION_LIMIT", "r >= q and r >= EXTENSION_LIMIT",
+     "count --extension refuses r = EXTENSION_LIMIT itself",
+     ["tests/test_cli.py::test_count_extension_refuses_a_shift_past_the_limit"]),
 ]
 
 EQUIVALENT = [

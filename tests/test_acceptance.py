@@ -22,7 +22,7 @@ from tmcorr import (RationalPhase, SumLadder, build_transfer, corr_fast,
                     shift_vectors, spectral_report)
 from tmcorr.correlation import NAIVE_LIMIT
 
-from conftest import eps_table
+from conftest import block_count, eps_table
 
 GELFOND_LAMBDA = math.log(3) / math.log(4)   # 0.7924818...
 
@@ -125,6 +125,16 @@ def test_c1_gelfond_count_equals_brute_force():
                 oracle = np.cumsum(mask)
                 for X in checkpoints:
                     if gelfond_count(X, l, m, j) != oracle[X]:
+                        pytest.fail(f"gelfond mismatch X={X} l={l} m={m} j={j}")
+    # past 2^44 every m <= 16 has K = (X - b) >> a >= 2^40, so each count also
+    # walks the residue bits above its Gelfond rows; the block oracle counts them
+    big = ([2**44 + d for d in (15, 16, 12345)] + [3**30, 2**50 - 1, 2**60 + 2**45 + 7]
+           + [rng.randrange(2**44, 2**64) for _ in range(5)])
+    for m in range(1, 17):
+        for l in range(m):
+            for j in (0, 1):
+                for X in big:
+                    if gelfond_count(X, l, m, j) != block_count(X, l, m, j):
                         pytest.fail(f"gelfond mismatch X={X} l={l} m={m} j={j}")
     _announce("C1d", "gelfond digit DP equals brute force, m <= 16")
 

@@ -60,7 +60,7 @@ def test_validation_messages_in_order(fn, args, message):
 
 @pytest.mark.parametrize("q", range(1, 64, 2))
 def test_single_entries_equal_batched_walks(q):
-    # the one-row last bit at every X <= 300, X = 0 and 1 included
+    # the single-entry walk at every X <= 300, X = 0 and 1 included
     xs = range(301)
     shifts = range(q) if q < 16 else (0, 1, q // 2, q - 2, q - 1)
     S, U = shift_vectors(q, xs), shift_vectors(q, xs, dilation=True)
@@ -131,7 +131,7 @@ def test_step_tables_are_shared_tuples_rebuilt_alike_after_eviction():
     # single entries are one read-only int64 view per modulus
     for table in (*_corr_steps(7, 9), residue_rows(7)):
         assert isinstance(table, tuple) and all(type(row) is tuple for row in table)
-    assert _corr_steps(7, 9) is _corr_steps(7, 9) and residue_rows(7) is residue_rows(7)
+    assert _corr_steps(7, 9) is _corr_steps(7, 9)
     rows = gelfond_rows(7)
     assert gelfond_rows(7) is rows and rows.readonly and rows.format == "q"
     with pytest.raises(TypeError):
@@ -145,18 +145,16 @@ def test_step_tables_are_shared_tuples_rebuilt_alike_after_eviction():
             assert corr_fast(q, r, X) == corr_naive(q, r, X), (q, X)
             assert dilation_sum(q, r, X) == dilation_naive(q, r, X), (q, X)
             assert count_classes_fast(q, r, X) == count_classes_naive(q, r, X), (q, X)
-        # a bound qX + r >= 2^K walks the bits of qX + r + 1 from K up and
-        # reads no step table, so D_q is built here by name; at q <= 199 the
-        # small X above read Gelfond rows alone
+        # a bound qX + r >= 2^K walks the bits of qX + r + 1 from K up; at
+        # q <= 199 the small X above read Gelfond rows alone
         X = (1 << len(gelfond_rows(q)) // q - 1) // q + 1
         assert dilation_sum(q, r, X) == shift_vectors(q, [X], dilation=True)[X][r], q
-        residue_rows(q)
 
     for q in qs:
         check(q)
-    tables = (_corr_steps, residue_rows, gelfond_rows)
+    tables = (_corr_kernels, gelfond_rows)
     misses = [t.cache_info().misses for t in tables]
-    check(qs[0])   # evicted: all three of its tables are rebuilt
+    check(qs[0])   # evicted: its walk and its Gelfond rows are rebuilt
     assert [t.cache_info().misses for t in tables] == [n + 1 for n in misses]
     assert gelfond_rows(qs[0]) is not first and gelfond_rows(qs[0]) == first
 

@@ -6,7 +6,7 @@ import pytest
 from tmcorr import (NAIVE_LIMIT, CountTable, corr_fast, count_adjacent,
                     count_adjacent_fast, count_classes_fast, count_classes_naive,
                     count_tables, dilation_sum, eps_partial_sum)
-from tmcorr.counting import _adjacent_tables
+from tmcorr.counting import _adjacent_tables, _four_term_table
 
 
 def test_naive_example():
@@ -149,8 +149,16 @@ def test_fast_tables_derive_deviations_from_cells(q):
 
 
 def test_kept_checks():
+    # cells summing above and below X
     with pytest.raises(ValueError, match="cells sum to"):
         CountTable(3, 0, 8, ((3, 0), (4, 2)))
+    with pytest.raises(ValueError, match="cells sum to 9, expected X=10"):
+        CountTable(3, 0, 10, ((3, 0), (4, 2)))
+    # a four-term identity that 4 does not divide: its floored cells miss X
+    P, U, S = eps_partial_sum(100), dilation_sum(3, 1, 100), corr_fast(3, 1, 100)
+    assert _four_term_table(3, 1, 100, P, U, S) == count_classes_naive(3, 1, 100)
+    with pytest.raises(ValueError, match="cells sum to 98, expected X=100"):
+        _four_term_table(3, 1, 100, P + 1, U, S)
     # the fast path validates through the correlation module, whose
     # messages name no option that count_classes_fast lacks
     for q, r, X in ((3, 5, 100), (4, 0, 10), (3, -1, 10), (3, 0, -1)):

@@ -7,7 +7,7 @@ with the library's halving engine:
   end, with the carry of q*n + r as state (the engine halves from the top);
 - for X = 2^k, the transfer-matrix identity: the prefixed correlations
   over n < 2^k are M^k applied to (eps(s))_s, M = build_transfer(q);
-- Gelfond counts by blocks: n <= X splits at the highest bit where n and
+- Gelfond counts by blocks (``conftest.block_count``): n <= X splits at the highest bit where n and
   X differ, and the free low bits are counted by (parity, residue).
 
 Every call runs under the interpreter's default recursion limit.
@@ -22,6 +22,8 @@ from tmcorr import (RationalPhase, build_transfer, corr_fast, count_classes_fast
                     count_tables, dilation_sum, eps, expsum_fast, gelfond_count,
                     scan_alpha, shift_vectors)
 from tmcorr.cli import main
+
+from conftest import block_count
 
 BIG_BITS = 4096
 X_RANDOM = random.Random(4096).getrandbits(BIG_BITS - 1) | 1 << (BIG_BITS - 1)
@@ -66,22 +68,6 @@ def transfer_power_corr(q: int, k: int) -> list[int]:
         v = [sum(m * v[c] for c, m in row) for row in rows]
     X = 2 ** k
     return [v[r] + eps(X) * eps(q * X + r) - eps(r) for r in range(q)]
-
-
-def block_count(X: int, l: int, m: int, j: int) -> int:
-    """#{1 <= n <= X : n = l mod m, popcount(n) = j mod 2}, by blocks."""
-    free = [[1] + [0] * (m - 1), [0] * m]   # i-bit blocks by (parity, residue)
-    total = 0
-    for i in range(X.bit_length()):
-        if X >> i & 1:
-            high = X >> (i + 1) << (i + 1)
-            hp, hr = high.bit_count() & 1, high % m
-            total += free[j ^ hp][(l - hr) % m]
-        step = pow(2, i, m)
-        free = [[free[p][res] + free[1 - p][(res - step) % m] for res in range(m)]
-                for p in (0, 1)]
-    total += X % m == l % m and X.bit_count() & 1 == j
-    return total - (l % m == 0 and j == 0)     # n = 0 is not counted
 
 
 @pytest.mark.parametrize("q", [3, 5, 63])

@@ -712,24 +712,27 @@ def test_prs_oracle_matches_fraction_oracle():
 def test_int_poly_gcd_on_every_gcd_of_spectral_report(monkeypatch):
     # every gcd that Yun's steps and the piece splits take, against the PRS,
     # each settled at its first evaluation point (one digit read; none for a
-    # zero argument), which is what makes the heuristic gcd fast here
+    # zero argument), which is what makes the heuristic gcd fast here; the
+    # cofactors it hands back times the gcd give both arguments again
     points = _count_evaluation_points(monkeypatch)
-    gcd, calls = tmcorr.spectral.int_poly_gcd, []
+    cofactors, calls = tmcorr.spectral._gcd_cofactors, []
 
     def recorded(a, b):
         start = len(points)
-        g = gcd(a, b)
-        calls.append((a, b, g, len(points) - start))
-        return g
+        out = cofactors(a, b)
+        calls.append((a, b, out, len(points) - start))
+        return out
 
-    monkeypatch.setattr(tmcorr.spectral, "int_poly_gcd", recorded)
+    monkeypatch.setattr(tmcorr.spectral, "_gcd_cofactors", recorded)
     for q in range(3, 64, 2):
         spectral_report(build_transfer(q))
     assert len(calls) == 174
-    for a, b, g, reads in calls:
+    for a, b, (g, a_g, b_g), reads in calls:
         assert g == prs_gcd_oracle(a, b), (a, b)
         assert reads == (1 if any(a) and any(b) else 0), (a, b, reads)
-    assert sum(len(g) > 1 and any(a) and any(b) for a, b, g, _ in calls) == 20
+        for x, x_g in ((a, a_g), (b, b_g)):
+            assert (tmcorr.spectral._poly_product(g, x_g) if x_g else []) == _stripped(x), (a, b)
+    assert sum(len(g) > 1 and any(a) and any(b) for a, b, (g, _, _), _ in calls) == 20
 
 
 def test_int_poly_gcd_retries_when_the_candidate_does_not_divide(monkeypatch):
@@ -788,6 +791,31 @@ def test_int_poly_gcd_zero_and_trailing_zero_inputs():
     # trailing zeros on the divisor are not a zero leading coefficient
     assert int_poly_gcd((-1, 0, 1), (-2, 2, 0)) == (-1, 1)
     assert int_poly_gcd((6, 0, 0), (-9, 0)) == (1,)
+
+
+def _stripped(p):
+    """p without trailing zeros, as a list."""
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def test_gcd_cofactors_give_both_arguments_back():
+    # g times each cofactor is the argument, also for a content, a sign,
+    # trailing zeros and a zero argument, whose cofactors need no division
+    rng = random.Random(82)
+    cases = [((-3, -12, 36, -36, -15, -9, -12, 0), (0, 0)), ((0,), (4, -2)), ((0, 0), (0,)),
+             ((6, 0, 0), (-9, 0)), ((-1, 0, 1), (-2, 2, 0)), ((0, -6), ()), ((5,), (-10,))]
+    for _ in range(50):   # a planted factor, a content and a trailing zero or not
+        g = _random_poly(rng, rng.randrange(0, 4))
+        cases.append(tuple(tuple([s * c for c in _poly_mul(g, _random_poly(rng, 3))]
+                                 + [0] * rng.randrange(2)) for s in (-6, rng.choice((1, 4)))))
+    for a, b in cases:
+        g, a_g, b_g = tmcorr.spectral._gcd_cofactors(a, b)
+        assert g == int_poly_gcd(a, b) == prs_gcd_oracle(a, b), (a, b)
+        for x, x_g in ((a, a_g), (b, b_g)):
+            assert _stripped(_poly_mul(g, x_g)) == _stripped(x), (a, b, g, x_g)
 
 
 def _power(a, m):
