@@ -16,7 +16,7 @@ from .digitseq import eps, class_of
 from .correlation import corr_naive, build_transfer, shift_vectors
 from .spectral import DEFAULT_SEED, MAX_DIM, RootFindingError, spectral_report
 from .expsum import RationalPhase, scan_alpha
-from .counting import _adjacent_tables, count_tables
+from .counting import _adjacent_tables, _cells
 from .report import SumLadder, emit, fit_exponent, fit_record, round12
 
 NAIVE_CHECK_LIMIT = 10**5
@@ -63,6 +63,8 @@ def parse_ladder(spec: str) -> list[int]:
 
 
 def _parse_shifts(text: str, q: int, extension: bool | None = None) -> list[int]:
+    if q < 1 or q % 2 == 0:
+        raise ValueError("multiplier must be odd")
     if text == "all":
         return list(range(q))
     r = int(text)
@@ -81,25 +83,17 @@ def cmd_eps(args) -> str:
 
 def cmd_corr(args) -> str:
     q = args.q
-    if q < 1 or q % 2 == 0:
-        raise ValueError("multiplier must be odd")
-    ladder = parse_ladder(args.ladder)
     shifts = _parse_shifts(args.shift, q)
+    ladder = parse_ladder(args.ladder)
     sums = shift_vectors(q, ladder)
-    rows = []
-    for X in ladder:
-        for r in shifts:
-            value = sums[X][r]
-            row = {"X": X, "r": r, "value": value}
-            if args.naive_check:
-                if X <= NAIVE_CHECK_LIMIT:
-                    if corr_naive(q, r, X) != value:
-                        raise ValueError(f"fast/naive mismatch at q={q} r={r} X={X}")
-                    row["check"] = "ok"
-                else:
-                    row["check"] = "skipped"
-            rows.append(row)
-    columns = ["X", "r", "value"] + (["check"] if args.naive_check else [])
+    rows = [(X, r, sums[X][r]) for X in ladder for r in shifts]
+    columns = ["X", "r", "value"]
+    if args.naive_check:
+        for X, r, value in rows:
+            if X <= NAIVE_CHECK_LIMIT and corr_naive(q, r, X) != value:
+                raise ValueError(f"fast/naive mismatch at q={q} r={r} X={X}")
+        rows = [(*row, "ok" if row[0] <= NAIVE_CHECK_LIMIT else "skipped") for row in rows]
+        columns.append("check")
     return emit({"q": q, "shifts": shifts, "rows": rows}, args.format, columns)
 
 
@@ -120,56 +114,49 @@ def cmd_eigen(args) -> str:
     return emit(payload, "json")
 
 
-def _fit(pairs) -> dict:
-    """The fit record of the worst |v| per X over the (X, v) pairs."""
-    worst: dict[int, float] = {}
-    for X, v in pairs:
-        worst[X] = max(worst.get(X, 0.0), abs(v))
+def _fit(worst: dict) -> dict:
+    """The fit record of worst, X -> the largest |value| at X."""
     return fit_record(fit_exponent(SumLadder(samples=tuple(sorted(worst.items())))))
 
 
-def _emit_ladder(payload: dict, format: str, columns: list[str]) -> str:
-    """Emit the rows; JSON also gets the fit of their worst |deviation| per
-    X when they span >= 3 X, all >= 2."""
-    rows = payload["rows"]
-    xs = {row["X"] for row in rows}
-    if format == "json" and len(xs) >= 3 and min(xs) >= 2:
-        payload["deviation_fit"] = _fit((row["X"], row["deviation"]) for row in rows)
+def _emit_ladder(payload: dict, format: str, columns: list[str], worst: dict) -> str:
+    """Emit the rows; JSON also gets the fit of worst, X -> the largest
+    |deviation| at X, when it spans >= 3 X, all >= 2."""
+    if format == "json" and len(worst) >= 3 and min(worst) >= 2:
+        payload["deviation_fit"] = _fit(worst)
     return emit(payload, format, columns)
 
 
 def cmd_count(args) -> str:
     q = args.q
-    if q < 1 or q % 2 == 0:
-        raise ValueError("multiplier must be odd")
-    ladder = parse_ladder(args.ladder)
     shifts = _parse_shifts(args.shift, q, extension=args.extension)
-    tables = count_tables(q, ladder, shifts)
-    rows = [{"X": X, "q": q, "r": r, "i": i, "k": k, "cell": table.cells[i][k],
-             "deviation": table.deviation(i, k)}
-            for X in ladder for r, table in tables[X].items()
-            for i in (0, 1) for k in (0, 1)]
-    payload = {"q": q, "shifts": shifts, "extension": bool(args.extension),
-               "rows": rows}
-    return _emit_ladder(payload, args.format,
-                        ["X", "q", "r", "i", "k", "cell", "deviation"])
+    ladder = parse_ladder(args.ladder)
+    rows, worst, cells = [], {}, _cells(q, ladder, shifts)
+    for X in ladder:
+        d4 = []   # 4 * cell - X, the deviation in exact quarters
+        for r, c00, c01, c10, c11 in cells[X]:
+            d00, d01, d10, d11 = 4 * c00 - X, 4 * c01 - X, 4 * c10 - X, 4 * c11 - X
+            rows += ((X, q, r, 0, 0, c00, d00 / 4), (X, q, r, 0, 1, c01, d01 / 4),
+                     (X, q, r, 1, 0, c10, d10 / 4), (X, q, r, 1, 1, c11, d11 / 4))
+            d4 += (d00, d01, d10, d11)
+        worst[X] = max(max(d4), -min(d4)) / 4
+    return _emit_ladder({"q": q, "shifts": shifts, "extension": bool(args.extension), "rows": rows},
+                        args.format, ["X", "q", "r", "i", "k", "cell", "deviation"], worst)
 
 
 def cmd_adjacent(args) -> str:
     ladder = parse_ladder(args.ladder)
-    rows = []
+    rows, worst = [], {}
     for X, F in _adjacent_tables(ladder).items():
-        for i in (0, 1):
-            for k in (0, 1):
-                # exact deviation in sixths/thirds; F - X/d in floats
-                # loses digits from about 2^15 and all of them by 2^60
-                d = 6 if i == k else 3
-                main = X / d
-                dev = (d * F[i][k] - X) / d
-                rows.append({"X": X, "i": i, "k": k, "count": F[i][k],
-                             "main": round12(main), "deviation": round12(dev)})
+        for i, k in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            # exact deviation in sixths/thirds; F - X/d in floats
+            # loses digits from about 2^15 and all of them by 2^60
+            d = 6 if i == k else 3
+            dev = round12((d * F[i][k] - X) / d)
+            rows.append((X, i, k, F[i][k], round12(X / d), dev))
+            worst[X] = max(worst.get(X, 0.0), abs(dev))
     return _emit_ladder({"rows": rows}, args.format,
-                        ["X", "i", "k", "count", "main", "deviation"])
+                        ["X", "i", "k", "count", "main", "deviation"], worst)
 
 
 def cmd_scan(args) -> str:
@@ -194,7 +181,7 @@ def cmd_fit(args) -> str:
             raise ValueError("no value/deviation/count column to fit")
         if "X" not in reader.fieldnames:
             raise ValueError("no X column to fit against")
-        samples = []
+        worst: dict[int, float] = {}
         for row in reader:
             try:
                 X = int(row["X"] or "")   # a short row leaves its missing cells None
@@ -208,8 +195,8 @@ def cmd_fit(args) -> str:
                 raise ValueError(f"{col} must be a number at X={X}") from None
             if not math.isfinite(v):
                 raise ValueError(f"missing or non-finite {col} at X={X}")
-            samples.append((X, v))
-    record = _fit(samples)
+            worst[X] = max(worst.get(X, 0.0), abs(v))
+    record = _fit(worst)
     return emit(record, args.format, list(record))
 
 
@@ -222,15 +209,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "spectra, exponential sums, and class-pair counts.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, default_format="csv"):
+    def add_common(p, func, default_format="csv"):
+        p.set_defaults(func=func)
         if default_format is not None:
             p.add_argument("--format", choices=("csv", "json"), default=default_format)
         p.add_argument("--out", default=None, help="write output to a file")
 
     p = sub.add_parser("eps", help="sign, class, and bit count of n")
     p.add_argument("n")
-    add_common(p, default_format=None)
-    p.set_defaults(func=cmd_eps)
+    add_common(p, cmd_eps, default_format=None)
 
     p = sub.add_parser("corr", help="correlation sums S_q(X, r) over a ladder")
     p.add_argument("q", type=int)
@@ -238,15 +225,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("ladder")
     p.add_argument("--naive-check", action="store_true",
                    help="cross-validate against the direct loop (X <= 1e5)")
-    add_common(p)
-    p.set_defaults(func=cmd_corr)
+    add_common(p, cmd_corr)
 
     p = sub.add_parser("eigen", help="transfer-matrix spectrum for odd q")
     p.add_argument("q", type=int)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                    help="root-finder restart seed, used only if the first run fails")
-    add_common(p, default_format="json")
-    p.set_defaults(func=cmd_eigen)
+    add_common(p, cmd_eigen, default_format="json")
 
     p = sub.add_parser("count", help="class-pair count tables over a ladder")
     p.add_argument("q", type=int)
@@ -254,24 +239,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("ladder")
     p.add_argument("--extension", action="store_true",
                    help="allow exploratory shifts r >= q (no main-term claim)")
-    add_common(p)
-    p.set_defaults(func=cmd_count)
+    add_common(p, cmd_count)
 
     p = sub.add_parser("adjacent", help="adjacent-pair class tables over a ladder")
     p.add_argument("ladder")
-    add_common(p)
-    p.set_defaults(func=cmd_adjacent)
+    add_common(p, cmd_adjacent)
 
     p = sub.add_parser("scan", help="max |exponential sum| over a phase grid")
     p.add_argument("X")
     p.add_argument("grid", type=int)
-    add_common(p)
-    p.set_defaults(func=cmd_scan)
+    add_common(p, cmd_scan)
 
     p = sub.add_parser("fit", help="log-log exponent fit of a CSV ladder")
     p.add_argument("path")
-    add_common(p, default_format="json")
-    p.set_defaults(func=cmd_fit)
+    add_common(p, cmd_fit, default_format="json")
 
     return parser
 

@@ -8,10 +8,9 @@ four-term identity
 
 with P the plain sign partial sum, U the dilation sum, and S the
 correlation sum, so fast-vs-naive equality is an exact integer test.
-``count_tables`` builds the tables of the asked shifts over a set of X from
-one walk of the correlation module per sum.
-``count_adjacent_fast`` reads the n - m = 1 table from ``count_tables`` at
-q = r = 1; the direct loop ``count_adjacent`` is its oracle.
+``count_tables`` and ``count_adjacent_fast`` (the n - m = 1 table, at
+q = r = 1) read the cells of many X and shifts off one walk of the
+correlation module per sum; the direct loops are their oracles.
 """
 
 from collections import namedtuple
@@ -68,42 +67,48 @@ def count_classes_naive(q: int, r: int, X: int, extension: bool = False) -> Coun
     return CountTable(q, r, X, (tuple(cells[0]), tuple(cells[1])))
 
 
-def _four_term_table(q: int, r: int, X: int, P: int, U: int, S: int) -> CountTable:
-    """The table from 4 * cells[i][k] = X + (-1)^i P + (-1)^k U + (-1)^(i+k) S.
+def _four_cells(X: int, P: int, U: int, S: int) -> tuple[int, int, int, int]:
+    """(c00, c01, c10, c11) from 4 * c_ik = X + (-1)^i P + (-1)^k U + (-1)^(i+k) S.
     The four sides sum to 4X and their floors by 4 to X - (sum of remainders)/4,
-    so CountTable's sum check fails exactly when 4 does not divide one of them."""
-    f00, f01 = X + P + U + S, X + P - U - S
-    f10, f11 = X - P + U - S, X - P - U + S
-    return CountTable(q, r, X, ((f00 // 4, f01 // 4), (f10 // 4, f11 // 4)))
+    so the sum check fails exactly when 4 does not divide one of them."""
+    c00, c01 = (X + P + U + S) >> 2, (X + P - U - S) >> 2
+    c10, c11 = (X - P + U - S) >> 2, (X - P - U + S) >> 2
+    if c00 + c01 + c10 + c11 != X:
+        raise ValueError(f"cells sum to {c00 + c01 + c10 + c11}, expected X={X}")
+    return c00, c01, c10, c11
+
+
+def _cells(q: int, xs, shifts) -> dict[int, list[tuple[int, int, int, int, int]]]:
+    """X -> [(r, *_four_cells(X, P, U, S)) for r in shifts] for every X in xs,
+    in walk order, with U and S from one shift_vectors walk each."""
+    if any(r < 0 for r in shifts):
+        raise ValueError("shifts must be nonnegative")
+    size = max(shifts, default=0) + 1
+    S, U = shift_vectors(q, xs, size=size), shift_vectors(q, xs, dilation=True, size=size)
+    cells = {}
+    for X, SX in S.items():
+        P, UX = eps_partial_sum(X), U[X]
+        cells[X] = [(r, *_four_cells(X, P, UX[r], SX[r])) for r in shifts]
+    return cells
 
 
 def count_classes_fast(q: int, r: int, X: int) -> CountTable:
     """Exact table via the four-term identity; O(q log X)."""
     _validate(q, r, X)   # corr_fast's and dilation_sum's checks and messages
-    return _four_term_table(q, r, X, eps_partial_sum(X), _dilation_entry(q, r, X),
-                            _corr_entry(q, r, X))
+    c00, c01, c10, c11 = _four_cells(X, eps_partial_sum(X), _dilation_entry(q, r, X),
+                                     _corr_entry(q, r, X))
+    return CountTable._make((q, r, X, ((c00, c01), (c10, c11))))
 
 
 def count_tables(q: int, xs, shifts=None) -> dict[int, dict[int, CountTable]]:
     """X -> {r: count_classes_fast(q, r, X)} for every X in xs and r in
-    shifts (default 0..q-1); a shift r >= q gives the exploratory
-    count_classes_naive(q, r, X, extension=True).
-
-    One walk each for the correlation and the dilation sums covers all
-    shifts and all X (see ``correlation.shift_vectors``).
-    """
-    xs = list(xs)
+    shifts (default 0..q-1), from one walk each for the correlation and the
+    dilation sums (see ``_cells``); a shift r >= q gives the exploratory
+    count_classes_naive(q, r, X, extension=True)."""
     shifts = range(q) if shifts is None else list(shifts)
-    if any(r < 0 for r in shifts):
-        raise ValueError("shifts must be nonnegative")
-    size = max(shifts, default=0) + 1
-    S = shift_vectors(q, xs, size=size)
-    U = shift_vectors(q, xs, dilation=True, size=size)
-    tables = {}
-    for X in S:
-        P = eps_partial_sum(X)
-        tables[X] = {r: _four_term_table(q, r, X, P, U[X][r], S[X][r]) for r in shifts}
-    return tables
+    return {X: {r: CountTable._make((q, r, X, ((c00, c01), (c10, c11))))
+                for r, c00, c01, c10, c11 in rows}
+            for X, rows in _cells(q, list(xs), shifts).items()}
 
 
 def count_adjacent(X: int) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -126,13 +131,14 @@ def count_adjacent(X: int) -> tuple[tuple[int, int], tuple[int, int]]:
 
 def _adjacent_tables(xs) -> dict[int, tuple[tuple[int, int], tuple[int, int]]]:
     """X -> count_adjacent(X) for every X in xs, in their order: the pairs
-    (m, m+1) with m+1 <= X are the q = r = 1 cells of one count_tables call
+    (m, m+1) with m+1 <= X are the q = r = 1 cells of one _cells call
     over m = 1..max(X - 1, 0), and F[i][k] = cells[k][i]."""
     ys = {X: max(X - 1, 0) for X in xs}
     if min(ys, default=0) < 0:
         raise ValueError("X must be nonnegative")
-    tables = count_tables(1, set(ys.values()), [1])
-    return {X: tuple(zip(*tables[Y][1].cells)) for X, Y in ys.items()}
+    cells = _cells(1, set(ys.values()), [1])
+    return {X: ((c00, c10), (c01, c11)) for X, Y in ys.items()
+            for _, c00, c01, c10, c11 in cells[Y]}
 
 
 def count_adjacent_fast(X: int) -> tuple[tuple[int, int], tuple[int, int]]:

@@ -1,11 +1,12 @@
 """CSV/JSON serialization of the CLI's records, and exponent fitting.
 
 ``emit`` writes every CSV and JSON the package produces.  A payload is a
-dict: JSON prints it whole, the bytes of ``json.dumps(payload, indent=2)``
-plus LF; CSV prints a header of the chosen columns and one line per record
-of ``payload["rows"]`` (or the payload itself when it has no rows).  Both
-fill one ``%`` template per record shape.  Integers are written verbatim
-and CSV reals with 12 significant digits; NaN and infinities are refused.
+dict whose ``"rows"`` are tuples in the order of the chosen columns.  JSON
+prints ``json.dumps(payload, indent=2)`` plus LF with each row an object
+keyed by the columns; CSV prints a header of the columns and one line per
+row (or the payload itself when it has no rows).  Integers are written
+verbatim and CSV reals with 12 significant digits; NaN and infinities are
+refused.
 
 A ladder is an ordered list of (X, value) samples; its growth exponent is
 the least-squares slope in log2-log2 space.
@@ -13,19 +14,20 @@ the least-squares slope in log2-log2 space.
 
 import math
 from collections import namedtuple
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from operator import sub
 
 
 def format_number(x) -> str:
     """Fixed-format scalar: integers verbatim, floats at 12 significant digits."""
-    if isinstance(x, bool):
-        raise TypeError("booleans are not serialized")
     if isinstance(x, int):
+        if isinstance(x, bool):
+            raise TypeError("booleans are not serialized")
         return str(x)
     if not math.isfinite(x):
         raise ValueError(f"non-finite value {x!r} is not serialized")
-    if x == int(x) and abs(x) < 2**53:
+    if abs(x) < 2**53 and x == int(x):
         return str(int(x))
     return f"{x:.12g}"
 
@@ -46,40 +48,56 @@ def _json(o, pad: str) -> str:
             raise ValueError(f"Out of range float values are not JSON compliant: {o!r}")
         return (int if isinstance(o, int) else float).__repr__(o)
     if isinstance(o, dict):
-        return _items([o], pad) if o else "{}"
+        return "".join(_object(o, pad))
     if not isinstance(o, (list, tuple)):
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-    return f"[\n{pad}  {_items(o, pad + '  ')}\n{pad}]" if o else "[]"
+    return _array(o, pad)
 
 
-def _items(items, pad: str) -> str:
-    """Non-empty list items at indent pad, one template each: an object for
-    dicts with one key sequence (dict views compare as sets), else '%s'."""
-    keys = tuple(items[0]) if isinstance(items[0], dict) else ()
-    inner, template, cells = pad, "%s", items
-    if keys and all(isinstance(row, dict) and tuple(row) == keys for row in items):
-        inner = pad + "  "
+def _object(o: dict, pad: str, columns=None) -> list[str]:
+    """The pieces of dict o at indent pad, to be joined once; with columns,
+    o["rows"] holds tuples, each written as an object keyed by columns."""
+    inner, parts = pad + "  ", []
+    for k, v in o.items():
+        parts += (",\n", inner, _quote(k), ": ", _array(v, inner, columns)
+                  if columns is not None and k == "rows" else _json(v, inner))
+    return ["{\n", *parts[1:], "\n", pad, "}"] if parts else ["{}"]
+
+
+def _array(items, pad: str, keys=None) -> str:
+    """List items at indent pad by one % template each: tuples as objects
+    keyed by keys when they are given, dicts with one key sequence as objects
+    (dict views compare as sets), else '%s'."""
+    if not items:
+        return "[]"
+    first = tuple(items[0]) if keys is None and isinstance(items[0], dict) else None
+    if first is not None and all(isinstance(row, dict) and tuple(row) == first for row in items):
+        keys, items = first, [row.values() for row in items]
+    inner, template, cells, n = pad + "  ", "%s", tuple(items), 1
+    if keys is not None:
+        inner, n, cells = pad + "    ", len(keys), tuple(chain.from_iterable(items))
         fields = f",\n{inner}".join(_quote(k).replace("%", "%%") + ": %s" for k in keys)
-        template = f"{{\n{inner}{fields}\n{pad}}}"
-        cells = [v for row in items for v in row.values()]
-    # '%s' of a plain int or float is its json text; x - x is NaN off the finite reals
-    if not {int, float}.issuperset(map(type, cells)) or any(map(sub, cells, cells)):
-        cells = [_json(v, inner) for v in cells]
-    return f",\n{pad}".join([template] * len(items)) % tuple(cells)
+        template = f"{{\n{inner}{fields}\n{pad}  }}" if keys else "{}"
+    # '%s' prints plain ints and finite floats as json does; x - x is NaN off the finite reals
+    if not all((t := {*map(type, c)}) <= {int} or t <= {int, float} and not any(map(sub, c, c))
+               for c in (cells[j::n] for j in range(n))):
+        cells = tuple([_json(v, inner) for v in cells])
+    text = f",\n{pad}  ".join([template] * len(items))
+    return f"[\n{pad}  {text}\n{pad}]" % cells
 
 
 def emit(payload: dict, format: str = "csv", columns=()) -> str:
-    """Serialize a record payload as json, or as csv with the given columns.
-
-    CSV ints and strings pass through as they are, others through format_number.
-    """
+    """Serialize a payload as json, or as csv with the given columns: CSV
+    writes ints and strings as they are, other cells through format_number."""
+    rows = payload["rows"] if "rows" in payload else [tuple(map(payload.__getitem__, columns))]
+    if {*map(type, rows)} - {tuple} or {*map(len, rows)} - {len(columns)}:
+        raise ValueError(f"rows must be tuples of one value per column of {columns}")
     if format == "json":
-        return _json(payload, "") + "\n"
+        return "".join([*_object(payload, "", columns), "\n"])
     if format != "csv":
         raise ValueError(f"unknown format {format!r}")
-    rows = payload.get("rows", (payload,))
     cells = [v if type(v) is int or isinstance(v, str) else format_number(v)
-             for record in rows for v in map(record.__getitem__, columns)]
+             for row in rows for v in row]
     return (",".join(["%s"] * len(columns)) + "\n") * (len(rows) + 1) % (*columns, *cells)
 
 
@@ -138,8 +156,4 @@ def fit_exponent(ladder: SumLadder) -> ExponentFit:
 
 def fit_record(fit: ExponentFit) -> dict:
     """The printed fields of a fit, reals rounded by round12."""
-    return {"slope": round12(fit.slope),
-            "intercept": round12(fit.intercept),
-            "max_residual": round12(fit.max_residual),
-            "n_samples": fit.n_samples,
-            "n_clamped": fit.n_clamped}
+    return {k: round12(v) if isinstance(v, float) else v for k, v in fit._asdict().items()}

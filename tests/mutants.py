@@ -43,6 +43,7 @@ TABLE_DEPTH = T + "test_single_entries_equal_the_batch_around_the_table_depth"
 GELFOND_PRODUCT = T + "test_all_ones_bounds_give_gelfonds_product"
 NO_STEP_TABLE = T + "test_residue_walks_read_no_step_table"
 C1D = "tests/test_acceptance.py::test_c1_gelfond_count_equals_brute_force"
+C = "tests/test_cli.py::"
 S = "tests/test_spectral.py::"
 
 MUTANTS = [
@@ -103,6 +104,27 @@ MUTANTS = [
     (CLI, "r >= q and r > EXTENSION_LIMIT", "r >= q and r >= EXTENSION_LIMIT",
      "count --extension refuses r = EXTENSION_LIMIT itself",
      ["tests/test_cli.py::test_count_extension_refuses_a_shift_past_the_limit"]),
+    (CLI, "EXTENSION_LIMIT = 2**10", "EXTENSION_LIMIT = 2**10 - 1",
+     "count --extension refuses r = 1024, the documented cap",
+     [C + "test_count_extension_limit_is_1024"]),
+    (CLI, "EXTENSION_LIMIT = 2**10", "EXTENSION_LIMIT = 2**10 + 1",
+     "count --extension lets r = 1025 through",
+     [C + "test_count_extension_limit_is_1024"]),
+    (COUNTING, "if c00 + c01 + c10 + c11 != X:", "if c00 + c01 + c10 + c11 > X:",
+     "_four_cells refuses only cells that sum above X, which floored cells never do",
+     ["tests/test_counting.py::test_kept_checks"]),
+    (COUNTING, "return c00, c01, c10, c11", "return c00, c10, c01, c11",
+     "_four_cells hands back cells c01 and c10 swapped",
+     [C + "test_count_rows_equal_count_tables_and_the_direct_loop"]),
+    (CLI, "worst[X] = max(max(d4), -min(d4)) / 4", "worst[X] = abs(d4[-1]) / 4",
+     "count's JSON deviation_fit reads the last cell per X, not the worst",
+     [C + "test_count_deviation_fit_equals_the_fit_of_the_printed_deviations"]),
+    (CLI, "c00, d00 / 4), (X, q, r, 0, 1, c01, d01 / 4),\n"
+          "                     (X, q, r, 1, 0, c10, d10 / 4), (X, q, r, 1, 1, c11, d11 / 4))",
+     "c00, d00 // 4), (X, q, r, 0, 1, c01, d01 // 4),\n"
+     "                     (X, q, r, 1, 0, c10, d10 // 4), (X, q, r, 1, 1, c11, d11 // 4))",
+     "count's deviation floored to (4 cell - X) // 4, not the exact quarter",
+     [C + "test_count_rows_equal_count_tables_and_the_direct_loop"]),
 ]
 
 EQUIVALENT = [

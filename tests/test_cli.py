@@ -7,9 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from tmcorr import count_adjacent
+from tmcorr import (SumLadder, count_adjacent, count_classes_naive, count_tables,
+                    fit_exponent)
 from tmcorr.cli import EXTENSION_LIMIT, main, parse_ladder
 from tmcorr.expsum import MAX_GRID
+from tmcorr.report import fit_record
 
 
 def run_cli(capsys, *argv):
@@ -203,6 +205,68 @@ def test_count_extension_refuses_a_shift_past_the_limit(capsys):
     assert err == f"error: extension shifts are refused for r > {EXTENSION_LIMIT}\n"
     code, _, _ = run_cli(capsys, "count", "3", str(EXTENSION_LIMIT), "8", "--extension")
     assert code == 0
+
+
+def test_count_extension_limit_is_1024(capsys):
+    # the cap in literal numbers, as README and CI state it
+    code, out, err = run_cli(capsys, "count", "3", "1024", "8", "--extension")
+    assert code == 0 and err == "" and len(out.splitlines()) == 5
+    code, out, err = run_cli(capsys, "count", "3", "1025", "8", "--extension")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "1024" in err
+
+
+COUNT_COLUMNS = ["X", "q", "r", "i", "k", "cell", "deviation"]
+
+
+def _count_rows(capsys, *argv):
+    """The rows of one count run, CSV and JSON parsed alike; they must agree."""
+    code, out, err = run_cli(capsys, "count", *argv)
+    assert code == 0 and err == ""
+    lines = list(csv.reader(out.splitlines()))
+    assert lines[0] == COUNT_COLUMNS
+    from_csv = [(*map(int, line[:6]), float(line[6])) for line in lines[1:]]
+    code, out, err = run_cli(capsys, "count", *argv, "--format", "json")
+    assert code == 0 and err == ""
+    rows = json.loads(out)["rows"]
+    assert all(list(row) == COUNT_COLUMNS and type(row["deviation"]) is float for row in rows)
+    from_json = [tuple(row.values()) for row in rows]
+    assert from_json == from_csv
+    return from_json
+
+
+@pytest.mark.parametrize("q, shift", [(3, "all"), (5, "all"), (7, "all"), (3, "1000")])
+def test_count_rows_equal_count_tables_and_the_direct_loop(capsys, q, shift):
+    shifts = range(q) if shift == "all" else [int(shift)]
+    extension = ["--extension"] if shift != "all" else []
+    for ladder in ("2^0..2^13", "0", "3", "9999", "10000"):
+        rows = _count_rows(capsys, str(q), shift, ladder, *extension)
+        xs = parse_ladder(ladder)
+        tables = count_tables(q, xs, shifts)
+        assert rows == [(X, q, r, i, k, c, (4 * c - X) / 4) for X in xs for r in shifts
+                        for i, cells in enumerate(tables[X][r].cells) for k, c in enumerate(cells)]
+        for X in xs:
+            for r in shifts:
+                assert tables[X][r] == count_classes_naive(q, r, X, extension=True), (X, r)
+
+
+@pytest.mark.parametrize("q, ladder, bound", [
+    (3, "2^10..2^256", 2 ** 53), (7, "2^60..2^120:5", 2 ** 53),
+    (3, "2^1255..2^1285:5", 2 ** 1000), (5, "2^4..2^1224:61", 2 ** 700)])
+def test_count_deviation_fit_equals_the_fit_of_the_printed_deviations(capsys, q, ladder, bound):
+    # the fit of max |4 cell - X| / 4 per X is the fit of the worst printed
+    # double per X, past 2^53 and past 2^1000
+    code, out, _ = run_cli(capsys, "count", str(q), "all", ladder, "--format", "json")
+    assert code == 0
+    worst = {}
+    for X, tables in count_tables(q, parse_ladder(ladder)).items():
+        for table in tables.values():
+            for i in (0, 1):
+                for k in (0, 1):
+                    worst[X] = max(worst.get(X, 0.0), abs(table.deviation(i, k)))
+    assert max(worst.values()) > bound
+    want = fit_record(fit_exponent(SumLadder(samples=tuple(sorted(worst.items())))))
+    assert json.loads(out)["deviation_fit"] == want
 
 
 def test_count_json_includes_fit(capsys):

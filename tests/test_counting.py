@@ -6,7 +6,7 @@ import pytest
 from tmcorr import (NAIVE_LIMIT, CountTable, corr_fast, count_adjacent,
                     count_adjacent_fast, count_classes_fast, count_classes_naive,
                     count_tables, dilation_sum, eps_partial_sum)
-from tmcorr.counting import _adjacent_tables, _four_term_table
+from tmcorr.counting import _adjacent_tables, _four_cells
 
 
 def test_naive_example():
@@ -109,6 +109,7 @@ def test_tables_of_the_asked_shifts_only():
         assert list(by_shift) == [3, 9]
         assert by_shift[3] == count_classes_fast(5, 3, X)
     assert tables[7][9] == count_classes_naive(5, 9, 7, extension=True)
+    assert count_tables(5, iter([0, 7, 2 ** 70]), [3, 9]) == tables   # xs read once
     with pytest.raises(ValueError, match="nonnegative"):
         count_tables(5, [7], [-1])
 
@@ -156,9 +157,10 @@ def test_kept_checks():
         CountTable(3, 0, 10, ((3, 0), (4, 2)))
     # a four-term identity that 4 does not divide: its floored cells miss X
     P, U, S = eps_partial_sum(100), dilation_sum(3, 1, 100), corr_fast(3, 1, 100)
-    assert _four_term_table(3, 1, 100, P, U, S) == count_classes_naive(3, 1, 100)
+    c00, c01, c10, c11 = _four_cells(100, P, U, S)
+    assert ((c00, c01), (c10, c11)) == count_classes_naive(3, 1, 100).cells
     with pytest.raises(ValueError, match="cells sum to 98, expected X=100"):
-        _four_term_table(3, 1, 100, P + 1, U, S)
+        _four_cells(100, P + 1, U, S)
     # the fast path validates through the correlation module, whose
     # messages name no option that count_classes_fast lacks
     for q, r, X in ((3, 5, 100), (4, 0, 10), (3, -1, 10), (3, 0, -1)):

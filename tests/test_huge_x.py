@@ -128,7 +128,9 @@ def test_cli_huge_x_succeeds_or_fails_with_one_line(capsys):
     assert main(["scan", "2^1024", "3"]) == 0
     capsys.readouterr()
     # past double range: a count deviation (printed as a double) and |f| at 1/3
-    for argv in (["count", "3", "1", "2^2000"], ["scan", "2^1300", "3"]):
+    for argv in (["count", "3", "1", "2^2000"], ["scan", "2^1300", "3"],
+                 ["count", "3", "all", "2^1280..2^1310:10"],
+                 ["count", "3", "all", "2^1280..2^1310:10", "--format", "json"]):
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""

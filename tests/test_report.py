@@ -104,12 +104,12 @@ def test_emit_empty_ladder_csv_header_only():
 
 
 def test_emit_ladder_round_trip():
-    rows = [{"X": 4, "value": 3.0}, {"X": 8, "value": 0.0}, {"X": 1024, "value": 6561.0}]
+    rows = [(4, 3.0), (8, 0.0), (1024, 6561.0)]
     assert emit({"rows": rows}, "csv", ["X", "value"]) == "X,value\n4,3\n8,0\n1024,6561\n"
     # integers of any size come back exactly
-    rows = [{"X": 2 ** 256, "value": -(3 ** 161)}, {"X": 2 ** 256 + 1, "value": 0}]
+    rows = [(2 ** 256, -(3 ** 161)), (2 ** 256 + 1, 0)]
     text = emit({"rows": rows}, "csv", ["X", "value"])
-    back = [{k: int(v) for k, v in row.items()} for row in csv.DictReader(io.StringIO(text))]
+    back = [tuple(map(int, row.values())) for row in csv.DictReader(io.StringIO(text))]
     assert back == rows
 
 
@@ -148,7 +148,7 @@ def test_emit_fit_json_fields():
 
 
 def test_emit_uses_lf_and_12_digits():
-    rows = [{"X": 4, "value": 1 / 3}, {"X": 8, "value": 2 / 3}, {"X": 16, "value": 4 / 3}]
+    rows = [(4, 1 / 3), (8, 2 / 3), (16, 4 / 3)]
     text = emit({"rows": rows}, "csv", ["X", "value"])
     assert "\r" not in text
     assert "0.333333333333" in text
@@ -157,7 +157,12 @@ def test_emit_uses_lf_and_12_digits():
 
 def test_emit_rejects_unknown():
     with pytest.raises(KeyError):
-        emit({"rows": [{"X": 4}]}, "csv", ["X", "value"])
+        emit({"X": 4}, "csv", ["X", "value"])
+    # rows are tuples of one value per column, in either format
+    for rows in ([(4,)], [(4, 1, 2)], [(4, 1), (5,)], [{"X": 4, "value": 1}], [[4, 1]]):
+        for format in ("csv", "json"):
+            with pytest.raises(ValueError, match="^rows must be tuples of one value per column"):
+                emit({"rows": rows}, format, ["X", "value"])
     with pytest.raises(ValueError):
         emit({"rows": []}, "yaml")
     with pytest.raises(TypeError) as want:
@@ -168,7 +173,8 @@ def test_emit_rejects_unknown():
 
 
 def test_emit_never_receives_a_record_whole(capsys, monkeypatch, tmp_path):
-    # the records are tuples, which json.dumps would print as bare lists
+    # library records are namedtuples, which json.dumps would print as bare
+    # lists; the rows that reach emit are plain tuples, written by their columns
     payloads = []
 
     def spy(payload, format="csv", columns=()):
@@ -248,52 +254,70 @@ def no_digit_cap():
         sys.set_int_max_str_digits(limit)
 
 
-def _same_as_json_dumps(payload):
-    assert emit(payload, "json") == json.dumps(payload, indent=2, allow_nan=False) + "\n"
+def _tuple_rows(rows):
+    """Dict rows as tuples in the first row's key order, and those keys."""
+    columns = list(rows[0]) if rows else []
+    return [tuple(row[k] for k in columns) for row in rows], columns
+
+
+def _same_as_json_dumps(payload, columns=()):
+    # the rows are tuples that json.dumps prints as the objects keyed by columns
+    dicts = {**payload, "rows": [dict(zip(columns, row)) for row in payload["rows"]]} \
+        if "rows" in payload else payload
+    assert emit(payload, "json", columns) == json.dumps(dicts, indent=2, allow_nan=False) + "\n"
 
 
 def test_emit_json_is_json_dumps_on_random_payloads(no_digit_cap):
     rng = random.Random(28)
     for _ in range(400):
         payload = {rng.choice(KEYS): _value(rng, 1) for _ in range(rng.randint(0, 4))}
+        columns = ()
         if rng.random() < 0.5:
-            payload["rows"] = _rows(rng, numeric=rng.random() < 0.7)
-        _same_as_json_dumps(payload)
+            payload["rows"], columns = _tuple_rows(_rows(rng, numeric=rng.random() < 0.7))
+        _same_as_json_dumps(payload, columns)
 
 
 @pytest.mark.parametrize("payload", [
-    # one key set in two orders: each row keeps its own order
-    {"rows": [{"a": 1, "b": 2.5}, {"b": 3, "a": 4}, {"a": 5, "b": 6}]},
+    # one key set in two orders, in a list of dicts: each object keeps its own order
+    {"l": [{"a": 1, "b": 2.5}, {"b": 3, "a": 4}, {"a": 5, "b": 6}]},
     {"rows": [{"a%s": 1, "%": 2, "%%d": 3.5}] * 3},
+    {"l": [{"a%s": 1, "%": 2, "%%d": 3.5}] * 3},
     {"t": (1, 2.5, "x"), "n": Pair(1, [Pair(2, None)]), "e": (), "d": {}, "l": [[], {}]},
     {"rows": [{}, {}], "mixed": [{"a": 1}, {"a": "s"}, {"b": 1}, 7]},
     {"rows": [{"X": 2 ** 64, "check": "ok", "v": -0.0, "f": True, "n": None}] * 2},
+    {"rows": [], "l": [{}, {}]},
     {"é\"\\": ["\x00\u2028", 5e-324, 1e308]},
     {"o": OrderedDict(a=1, b=[OrderedDict(c=2.5)] * 2), "c": list(range(-3, 70))},
 ])
 def test_emit_json_is_json_dumps_on_the_template_traps(payload):
-    _same_as_json_dumps(payload)
+    columns = ()
+    if "rows" in payload:
+        payload = dict(payload)
+        payload["rows"], columns = _tuple_rows(payload["rows"])
+    _same_as_json_dumps(payload, columns)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_emit_refuses_non_finite_reals_in_both_formats(bad):
-    for payload in ({"v": bad}, {"rows": [{"X": 1, "v": 2.5}, {"X": 2, "v": bad}]},
-                    {"rows": [{"X": 1, "v": bad, "check": "ok"}]}, {"x": [{"y": [bad]}]}):
+    for payload, columns in (({"v": bad}, ()), ({"rows": [(1, 2.5), (2, bad)]}, ["X", "v"]),
+                             ({"rows": [(1, bad, "ok")]}, ["X", "v", "check"]),
+                             ({"rows": [(2 ** 70, bad)]}, ["X", "v"]),
+                             ({"rows": [(1, 2.5), (2.5, 2 ** 70), (bad, 1)]}, ["X", "v"]),
+                             ({"x": [{"y": [bad]}]}, ())):
         with pytest.raises(ValueError):
             json.dumps(payload, allow_nan=False)
         with pytest.raises(ValueError, match="^Out of range float values are not JSON"
                                              f" compliant: {bad!r}$"):
-            emit(payload, "json")
+            emit(payload, "json", columns)
     with pytest.raises(ValueError, match=f"^non-finite value {bad!r} is not serialized$"):
-        emit({"rows": [{"X": 1, "v": 2.5}, {"X": 2, "v": bad}]}, "csv", ["X", "v"])
+        emit({"rows": [(1, 2.5), (2, bad)]}, "csv", ["X", "v"])
     with pytest.raises(ValueError, match=f"^non-finite value {bad!r} is not serialized$"):
         emit({"X": 1, "v": bad}, "csv", ["X", "v"])
 
 
 def test_emit_csv_cells():
-    rows = [{"X": 2 ** 70, "v": 5, "s": "ok", "f": 2.5, "g": 3.0},
-            {"X": 0, "v": -1, "s": "a%sb", "f": 1 / 3, "g": 1e300}]
+    rows = [(2 ** 70, 5, "ok", 2.5, 3.0), (0, -1, "a%sb", 1 / 3, 1e300)]
     assert emit({"rows": rows}, "csv", ["X", "v", "s", "f", "g"]) == (
         "X,v,s,f,g\n1180591620717411303424,5,ok,2.5,3\n0,-1,a%sb,0.333333333333,1e+300\n")
     with pytest.raises(TypeError):
-        emit({"rows": [{"X": 1, "v": True}]}, "csv", ["X", "v"])
+        emit({"rows": [(1, True)]}, "csv", ["X", "v"])
