@@ -9,13 +9,15 @@ with its sign at both columns it is the transfer matrix T_q, with the b
 column negated the step D_q of ``residue_sums``, whose walk reads no table:
 it keeps every residue class in one integer, a lane each in the order of the
 doubling map's orbits, so a bit is one rotation and one subtraction.  One
-entry reads a row of Gelfond products per 1-bit below 2^40 and walks above.
+entry reads a row of Gelfond products per 1-bit below 2^40 and walks above,
+on byte lanes that one memoryview reads at once.
 """
 
 import sys
 from bisect import bisect_left, bisect_right
 from functools import lru_cache, partial
 from itertools import compress
+from operator import mul
 
 # direct-loop guard: above this the O(X) paths refuse instead of hanging
 NAIVE_LIMIT = 10**7
@@ -23,8 +25,11 @@ NAIVE_LIMIT = 10**7
 TABLE_CACHE = 64
 # ``gelfond_rows`` keeps rows 0..40 (a row costs about 3 walk bits to build,
 # so a first call stays within 2x of a 40-bit walk) if they hold <= 2^13
-# entries: above m = 199, reading m lanes costs more than the 40 bits saved
+# entries, 64 KiB: above m = 199 a table would still read faster than the
+# walk, but costs 41 m 8-byte entries and up to 1 ms per modulus to build
 GELFOND_DEPTH, GELFOND_BUDGET = 40, 2 ** 13
+# memoryview formats of signed 8-, 16-, 32- and 64-bit lanes
+_LANE_FORMAT = {8: "b", 16: "h", 32: "i", 64: "q"}
 
 
 def check_naive_limit(X: int) -> None:
@@ -111,11 +116,18 @@ def residue_rows(m: int) -> tuple[tuple[int, int], ...]:
     return tuple((a, b) if g > 0 else (b, a) for g, a, b in shift_rows(m))
 
 
-def _residue_lanes(m: int, top: int) -> tuple[int, int, int, int, int]:
-    """(m, W, M, OFF, 1/2 mod m) of a residue walk to bounds <= top, m odd."""
+def _residue_lanes(m: int, top: int, byte: bool = False) -> tuple[int, int, int, int, int]:
+    """(m, W, M, OFF, 1/2 mod m) of a residue walk to bounds <= top, m odd.
+    With ``byte`` set and W <= 64 the lanes widen to 1, 2, 4 or 8 bytes, for
+    ``_lane_view``, and OFF is written out byte by byte."""
     W = (top // m + 2).bit_length() + 2
+    half = (m + 1) // 2
+    if byte and W <= 64:
+        B = 1 << max(0, (W - 1).bit_length() - 3)   # bytes per lane
+        OFF = int.from_bytes((bytes(B - 1) + b"\x80") * m, "little")
+        return m, 8 * B, (1 << 8 * B * m) - 1, OFF, half
     M = (1 << m * W) - 1
-    return m, W, M, M // ((1 << W) - 1) << W - 1, (m + 1) // 2
+    return m, W, M, M // ((1 << W) - 1) << W - 1, half
 
 
 def _residue_walk(lanes, state, bits):
@@ -153,6 +165,18 @@ def _residue_read(lanes, state, ls) -> list[int]:
     if x >= M:
         x -= M
     return [(x >> l * state[3] % m * W & mask) - mid for l in ls]
+
+
+def _lane_view(lanes, P) -> memoryview:
+    """Lanes 0..m-1 of P as one signed memoryview, on byte lanes: each lane of
+    (P + OFF) mod M is its sum plus 2^(W-1), and XOR with OFF leaves the sum
+    in two's complement.  A big-endian host writes the lanes in reverse."""
+    m, W, M, OFF, _ = lanes
+    x = P + OFF
+    if x >= M:
+        x -= M
+    view = memoryview((x ^ OFF).to_bytes(m * W >> 3, sys.byteorder)).cast(_LANE_FORMAT[W])
+    return view[::-1] if sys.byteorder == "big" else view
 
 
 def residue_sums(m: int, ys) -> dict[int, list[int]]:
@@ -197,17 +221,27 @@ def residue_entry(m: int, Y: int, l: int) -> int:
     """Entry l of ``residue_sums(m, (Y,))[Y]``, unchecked (odd m, Y >= -1,
     0 <= l < m): the N < Z = Y + 1.  With rows 0..K of ``gelfond_rows(m)`` and
     h = Z >> K, the N < h 2^K are N' 2^K + L, L < 2^K: a walk to h - 1 whose
-    class (l - j) / 2^K meets entry j of row K.  Each 1-bit k of Z below K adds
-    row k, signed by eps and offset by the value p mod m of Z's bits above k.
-    At K = 0 (m > 199) that is the walk to Y, read at lane l."""
+    class c meets entry j of row K where c 2^K = l - j.  Started in the frame
+    2^(K + bits), the walk ends with class c in lane c 2^K, so on byte lanes
+    (W <= 64) row K meets the lanes from l down, read at once by
+    ``_lane_view``; wider lanes read the classes (l - j) 2^-K one by one.
+    Each 1-bit k of Z below K adds row k, signed by eps and offset by the
+    value p mod m of Z's bits above k.  At K = 0 (m > 199) that is the walk
+    to Y, read at lane l."""
     rows, Z = gelfond_rows(m), Y + 1
     K = len(rows) // m - 1
     h, total = Z >> K, 0
     if h:
-        lanes, js = _residue_lanes(m, h - 1), list(compress(range(m), rows[K * m:]))
-        state, inv = _residue_walk(lanes, (1, 0, 1, 1), bin(h - 1)[2:]), pow(2, -K, m)
-        vs = _residue_read(lanes, state, [(l - j) * inv % m for j in js])
-        total = sum(rows[K * m + j] * v for j, v in zip(js, vs))
+        bits, lanes = bin(h - 1)[2:], _residue_lanes(m, h - 1, K > 0)
+        if K and lanes[1] <= 64:
+            state = _residue_walk(lanes, (1, 0, 1, pow(2, K + len(bits), m)), bits)
+            v = _lane_view(lanes, state[0])
+            total = sum(map(mul, rows[K * m:], [*v[l::-1], *v[:l:-1]]))
+        else:
+            js = list(compress(range(m), rows[K * m:]))
+            state, inv = _residue_walk(lanes, (1, 0, 1, 1), bits), pow(2, -K, m)
+            vs = _residue_read(lanes, state, [(l - j) * inv % m for j in js])
+            total = sum(rows[K * m + j] * v for j, v in zip(js, vs))
     e, p, low = eps(h), (h << K) % m, Z & ((1 << K) - 1)
     while low:
         k = low.bit_length() - 1

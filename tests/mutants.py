@@ -34,6 +34,7 @@ CORRELATION = "tmcorr/correlation.py"
 COUNTING = "tmcorr/counting.py"
 SPECTRAL = "tmcorr/spectral.py"
 CLI = "tmcorr/cli.py"
+EXPSUM = "tmcorr/expsum.py"
 T = "tests/test_digitseq.py::"
 PACKED_STEP = T + "test_one_packed_step_is_one_residue_rows_step"
 RUNNING_SUMS = T + "test_residue_sums_equal_running_sums_by_residue"
@@ -42,6 +43,10 @@ SHALLOW = T + "test_shallow_tables_equal_running_sums"
 TABLE_DEPTH = T + "test_single_entries_equal_the_batch_around_the_table_depth"
 GELFOND_PRODUCT = T + "test_all_ones_bounds_give_gelfonds_product"
 NO_STEP_TABLE = T + "test_residue_walks_read_no_step_table"
+BYTE_ENTRIES = T + "test_single_entries_on_byte_lanes_equal_the_batch_and_running_sums"
+BYTE_LANES = T + "test_byte_lanes_hold_every_sum_the_walks_lanes_hold"
+NAIVE_EDGE = T + "test_direct_loops_stop_at_ten_million"
+GRID_EDGE = "tests/test_expsum.py::test_phase_grids_stop_at_two_to_the_twenty"
 C1D = "tests/test_acceptance.py::test_c1_gelfond_count_equals_brute_force"
 C = "tests/test_cli.py::"
 S = "tests/test_spectral.py::"
@@ -79,6 +84,33 @@ MUTANTS = [
      "GELFOND_DEPTH, GELFOND_BUDGET = 39, 2 ** 13",
      "Gelfond tables one row shallower than the documented 2^40",
      [GELFOND_PRODUCT]),
+    (DIGITSEQ, "pow(2, K + len(bits), m)", "pow(2, K + len(bits) - 1, m)",
+     "a byte-lane walk starts one bit off its frame: class c ends in lane c 2^(K-1)",
+     [BYTE_ENTRIES]),
+    (DIGITSEQ, "(W - 1).bit_length() - 3", "(W - 2).bit_length() - 3",
+     "byte lanes one size narrower at W = 9, 17 and 33 than the walk's bound W",
+     [BYTE_LANES]),
+    (DIGITSEQ, "[*v[l::-1], *v[:l:-1]]", "[*v[l:], *v[:l]]",
+     "row K meets the lanes from l up, not from l down",
+     [BYTE_ENTRIES]),
+    (DIGITSEQ, "NAIVE_LIMIT = 10**7", "NAIVE_LIMIT = 10**7 + 1",
+     "the direct loops run X = 10^7 + 1",
+     [NAIVE_EDGE]),
+    (DIGITSEQ, "NAIVE_LIMIT = 10**7", "NAIVE_LIMIT = 10**7 - 1",
+     "the direct loops refuse X = 10^7, the documented limit",
+     [NAIVE_EDGE]),
+    (DIGITSEQ, "if X > NAIVE_LIMIT:", "if X >= NAIVE_LIMIT:",
+     "the direct loops refuse X = NAIVE_LIMIT itself",
+     [NAIVE_EDGE]),
+    (EXPSUM, "MAX_GRID = 2**20", "MAX_GRID = 2**20 + 1",
+     "scan_alpha runs grid 2^20 + 1",
+     [GRID_EDGE]),
+    (EXPSUM, "MAX_GRID = 2**20", "MAX_GRID = 2**20 - 1",
+     "scan_alpha refuses grid 2^20, the documented limit",
+     [GRID_EDGE]),
+    (EXPSUM, "if grid > MAX_GRID:", "if grid >= MAX_GRID:",
+     "scan_alpha refuses grid = MAX_GRID itself",
+     [GRID_EDGE]),
     (CORRELATION, "bin(X)[2:])[r]", "bin(X)[2:-1])[r]",
      "a single correlation entry walks to X >> 1, one bit short of X",
      ["tests/test_correlation.py::test_corr_fast_examples"]),

@@ -6,8 +6,9 @@ import pytest
 
 from tmcorr import class_of, eps, eps_partial_sum, gelfond_count
 from tmcorr.correlation import dilation_sum, shift_vectors
-from tmcorr.digitseq import (_residue_lanes, _residue_read, _residue_walk, gelfond_rows,
-                             residue_entry, residue_rows, residue_sums, walk_prefixes)
+from tmcorr.digitseq import (_lane_view, _residue_lanes, _residue_read, _residue_walk,
+                             check_naive_limit, gelfond_rows, residue_entry, residue_rows,
+                             residue_sums, walk_prefixes)
 
 from conftest import eps_table
 
@@ -231,6 +232,102 @@ def test_big_endian_rows_swap_the_bytes_of_each_lane(monkeypatch):
                    for i in range(len(rows))), m
 
 
+def _block_sums(m, Y):
+    """[sum of eps(N) over 0 <= N <= Y, N = l (mod m), for l < m], the running
+    sum taken by blocks: each N < Z = Y + 1 first falls below Z at a 1-bit i
+    of Z, under the same bits above i, and the 2^i free bits below sum by
+    residue as Gelfond's product, multiplied out here on plain lists."""
+    Z, free, out = Y + 1, [1] + [0] * (m - 1), [0] * m
+    for i in range(Z.bit_length()):
+        if Z >> i & 1:
+            high = Z >> i + 1 << i + 1
+            e, p = eps(high), high % m
+            for r, v in enumerate(free):
+                out[(p + r) % m] += e * v
+        s = pow(2, i, m)
+        free = [free[r] - free[(r - s) % m] for r in range(m)]
+    return out
+
+
+def _lane_edges(m):
+    """w -> (least, greatest) walk bound top whose lanes are w bits wide,
+    W = bitlen(top // m + 2) + 2, for w on both sides of 8, 16, 32 and 64."""
+    return {w: (m * ((1 << w - 3) - 2), m * ((1 << w - 2) - 2) - 1)
+            for w in (8, 9, 16, 17, 32, 33, 64, 65)}
+
+
+def test_running_sums_by_blocks_equal_the_running_sums():
+    for m in (1, 3, 7, 37):
+        running = [0] * m
+        for Y in range(3000):
+            running[Y % m] += eps(Y)
+            assert _block_sums(m, Y) == running, (m, Y)
+
+
+def test_byte_lanes_hold_every_sum_the_walks_lanes_hold():
+    # up to 64 bits a single entry's walk widens its W-bit lanes to the next
+    # of 8, 16, 32 and 64 bits, so every sum a W-bit lane holds (up to
+    # 2^(W-1) - 2 either way) reads back whole from the byte view; past 64
+    # bits the lanes stay as they are
+    rng = random.Random(64)
+    for m in (1, 3, 37, 101, 199):
+        for w, tops in _lane_edges(m).items():
+            for top in tops:
+                lanes, exact = _residue_lanes(m, top, True), _residue_lanes(m, top)
+                assert exact[1] == w, (m, top)
+                if w > 64:
+                    assert lanes == exact, (m, top)
+                    continue
+                W, M, OFF = lanes[1:4]
+                assert W == next(b for b in (8, 16, 32, 64) if b >= w), (m, top)
+                assert (M, OFF) == ((1 << m * W) - 1, ((1 << m * W) - 1) // ((1 << W) - 1) << W - 1)
+                edge = (1 << w - 1) - 2
+                R = [rng.choice((edge, -edge, rng.randint(-edge, edge))) for _ in range(m)]
+                assert list(_lane_view(lanes, _packed(lanes, R, 1))) == R, (m, top)
+                assert list(_lane_view(lanes, M)) == [0] * m   # M is 0 in Z/M
+
+
+@pytest.mark.parametrize("m", [1, 3, 37, 101, 199, 201])
+def test_single_entries_on_byte_lanes_equal_the_batch_and_running_sums(m):
+    # an entry walks to h - 1, h = (Y + 1) >> K, on lanes of 1, 2, 4 or 8
+    # bytes while W <= 64 and reads them through one byte view; just past
+    # 64 bits, and at K = 0 (m = 201), it keeps W-bit lanes and reads lane by
+    # lane.  Both ends of each width, with Y + 1 a multiple of 2^K and not
+    K, rng = _depth(m), random.Random(m)
+    widths = {}
+    for w, tops in _lane_edges(m).items():
+        for top in tops:
+            for low in (0, rng.getrandbits(K)):
+                byte = next(b for b in (8, 16, 32, 64, w) if b >= w)
+                widths[(top + 1 << K) + low - 1] = byte if K else w
+    batch = residue_sums(m, widths)
+    for Y, W in widths.items():
+        assert _residue_lanes(m, ((Y + 1) >> K) - 1, K > 0)[1] == W, (m, Y)
+        want = _block_sums(m, Y)
+        assert batch[Y] == want, (m, Y)
+        ls = range(m) if m < 200 else rng.sample(range(m), 12)
+        assert [residue_entry(m, Y, l) for l in ls] == [want[l] for l in ls], (m, Y)
+
+
+def test_big_endian_lane_views_swap_the_bytes_of_each_lane(monkeypatch):
+    # a lane view is written in the host's byte order; on a big-endian host
+    # each lane's bytes come reversed and the lanes keep their order
+    rng = random.Random(7)
+    real = []
+    for m in (1, 7, 199):
+        for width, top in zip((8, 16, 32, 64), (30 * m, 2**13 * m, 2**29 * m, 2**61 * m)):
+            lanes = _residue_lanes(m, top, True)
+            assert lanes[1] == width, (m, top)
+            P = rng.randrange(lanes[2] + 1)
+            real.append((lanes, P, _lane_view(lanes, P)))
+    monkeypatch.setattr("tmcorr.digitseq.sys", types.SimpleNamespace(byteorder="big"))
+    for lanes, P, view in real:
+        swapped = _lane_view(lanes, P)
+        assert len(swapped) == len(view) == lanes[0] and swapped.format == view.format
+        assert all(swapped[i:i + 1].tobytes() == view[i:i + 1].tobytes()[::-1]
+                   for i in range(len(view))), lanes[:2]
+
+
 def _depth(m):
     """K of the table of modulus m: a bound Y with Y + 1 < 2^K reads no walk."""
     return len(gelfond_rows(m)) // m - 1
@@ -361,6 +458,13 @@ def test_mixed_width_batch_equals_each_bound_alone():
             assert batch[Y] == residue_sums(m, [Y])[Y], (m, Y)
             l = rng.randrange(m)
             assert residue_entry(m, Y, l) == batch[Y][l], (m, Y, l)
+
+
+def test_direct_loops_stop_at_ten_million():
+    # written out, not read from NAIVE_LIMIT, so a changed constant fails here
+    check_naive_limit(10**7)
+    with pytest.raises(ValueError, match="X > 10000000$"):
+        check_naive_limit(10**7 + 1)
 
 
 def test_residue_sums_read_an_iterator_once():

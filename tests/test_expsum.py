@@ -141,6 +141,15 @@ def test_scan_refuses_grid_above_limit_before_any_table():
     assert peak < 100_000, peak   # the table alone would be about 40 MB
 
 
+def test_phase_grids_stop_at_two_to_the_twenty():
+    # the largest grid runs whole (about 0.6 s and 75 MB on a 2-vCPU host);
+    # one point more is refused.  The limit is written out, not read from
+    # MAX_GRID, so a changed constant fails here
+    assert scan_alpha(2, 2**20) == ScanResult(2, 2**20, 2.0, 2**19)   # eps(0) - eps(1) e(1/2)
+    with pytest.raises(ValueError, match="grid > 1048576$"):
+        scan_alpha(2, 2**20 + 1)
+
+
 @pytest.mark.parametrize("grid, bound", [(2 ** 14, 125), (3 ** 9, 130)])
 def test_scan_peak_memory_per_grid_point(grid, bound):
     # 3^40 - 1 has zero bits, where the walk shares e*W between the halves:
